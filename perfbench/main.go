@@ -5,7 +5,7 @@
 // why each workload exists and which end-to-end metric each layer metric
 // should move.
 //
-//	go run . --workload drive --seed 7 --seconds 20 --trace 0
+//	go run . --workload drive --seed 7 --seconds 48 --trace 0
 package main
 
 import (
@@ -65,8 +65,8 @@ func (t *tally) check(ok bool, format string, args ...any) {
 	}
 }
 
-// passStat is one measured pass: a synthesis request, or one sweep over
-// the drive kernels or the suite jobs.
+// passStat is one measured pass: one sweep over the drive kernels or the
+// suite jobs.
 type passStat struct {
 	kernels int
 	wall    time.Duration
@@ -75,27 +75,27 @@ type passStat struct {
 }
 
 type bench struct {
-	workers   int
-	seed      int64
-	window    time.Duration
-	ref       *reference
-	tally     *tally
-	synthRefs map[int64]synthRef
+	workers int
+	seed    int64
+	window  time.Duration
+	ref     *reference
+	tally   *tally
 }
 
-// workloads maps each workload to its pass j.
+// workloads maps each workload to its pass j. Synthesis has no workload of
+// its own: every run's set-up synthesizes, and every traced run reports
+// the synthesis layers.
 var workloads = map[string]func(*bench, *campaign, int, *tracer) (passStat, error){
-	"synthesize": (*bench).synthesizePass,
-	"drive":      (*bench).drivePassStat,
-	"table1":     (*bench).table1PassStat,
+	"drive":  (*bench).drivePassStat,
+	"table1": (*bench).table1PassStat,
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	name := fs.String("workload", "", "workload: synthesize, drive or table1")
+	name := fs.String("workload", "", "workload: drive or table1")
 	seed := fs.Int64("seed", campaignSeed, "seed the workload's inputs derive from")
-	seconds := fs.Int("seconds", 20, "seconds of passes one run measures")
+	seconds := fs.Int("seconds", 48, "seconds of passes one run measures")
 	trace := fs.Int("trace", 0, "1 makes the traced run, which reports per-layer metrics")
 	traceFile := fs.String("trace-file", "", "file the traced run writes its spans to")
 	record := fs.String("record", "", "record the reference outputs to this file and exit")
@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if workloads[*name] == nil || *seconds < 1 || (*trace != 0 && *trace != 1) {
-		fmt.Fprintln(stderr, "perfbench: need --workload synthesize|drive|table1, --seconds >= 1 and --trace 0|1")
+		fmt.Fprintln(stderr, "perfbench: need --workload drive|table1, --seconds >= 1 and --trace 0|1")
 		return 2
 	}
 	ref, err := loadReference()
@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	b := &bench{workers: workers, seed: *seed, window: time.Duration(*seconds) * time.Second,
-		ref: ref, tally: &tally{log: stderr}, synthRefs: map[int64]synthRef{}}
+		ref: ref, tally: &tally{log: stderr}}
 	var m metrics
 	if *trace == 1 {
 		tr := newTracer()
@@ -149,8 +149,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// measure is the untraced run: set-up three times, then passes of the
-// workload until the next one would run past the window.
+// measure is the untraced run: set-up setupReps times, then passes of the
+// workload until another would end more than an eighth past the window. A
+// pass takes 12–24 s on two CPUs and the host's speed drifts from pass to
+// pass, so the run measures several passes and every metric pools them.
 func (b *bench) measure(name string) (metrics, error) {
 	var setups []float64
 	var c *campaign
@@ -171,10 +173,17 @@ func (b *bench) measure(name string) (metrics, error) {
 			return nil, err
 		}
 		passes = append(passes, p)
-		if measured += p.wall; measured+p.wall > b.window {
+		// The bound keeps a run on a slow host within the time the whole
+		// benchmark may take.
+		if measured += p.wall; measured+p.wall > b.window+b.window/8 {
 			break
 		}
 	}
+	fmt.Fprintf(b.tally.log, "perfbench: %d passes in %.1f s:", len(passes), measured.Seconds())
+	for _, p := range passes {
+		fmt.Fprintf(b.tally.log, " %.2f", p.wall.Seconds())
+	}
+	fmt.Fprintln(b.tally.log)
 	var kernels int
 	var wall, cpu time.Duration
 	var ops []float64
@@ -190,15 +199,16 @@ func (b *bench) measure(name string) (metrics, error) {
 	m.set("setup_s", percentile(setups, 0.5), "s")
 	m.set("kernels_per_s", float64(kernels)/wall.Seconds(), "1/s")
 	m.set("op_p50_ms", percentile(ops, 0.5), "ms")
-	m.set("op_p80_ms", percentile(ops, 0.8), "ms")
+	m.set("op_p90_ms", percentile(ops, 0.9), "ms")
 	m.set("cpu_s", cpu.Seconds()/float64(len(passes)), "s")
 	m.set("peak_rss_mb", peakRSSMB(), "MB")
 	return m, nil
 }
 
-// traced is the traced run: set-up once with spans, one untraced unit of
-// the run's workload, then one traced unit of every workload, so that
-// every traced run reports every per-layer metric.
+// traced is the traced run: set-up once with spans, one untraced pass of
+// the run's workload, then traced synthesis requests and one traced pass
+// of every workload, so that every traced run reports every per-layer
+// metric.
 func (b *bench) traced(name string, tr *tracer) (metrics, error) {
 	c, err := setup(b.workers, tr)
 	if err != nil {
@@ -207,25 +217,17 @@ func (b *bench) traced(name string, tr *tracer) (metrics, error) {
 	b.checkCampaign(c)
 	m := metrics{}
 	setupLayers(m, tr, c)
-	units := 1
-	if name == "synthesize" {
-		units = synthRequests
+	base, err := workloads[name](b, c, 0, nil)
+	if err != nil {
+		return nil, err
 	}
-	var base time.Duration
-	for j := 0; j < units; j++ {
-		p, err := workloads[name](b, c, j, nil)
-		if err != nil {
-			return nil, err
-		}
-		base += p.wall
-	}
+	b.tracedSynthesize(m, c, tr)
 	walls := map[string]time.Duration{}
-	walls["synthesize"] = b.tracedSynthesize(m, c, tr)
 	walls["drive"] = b.tracedDrive(m, c, tr)
 	if walls["table1"], err = b.tracedTable1(m, c, tr); err != nil {
 		return nil, err
 	}
-	m.set("trace.overhead_share", walls[name].Seconds()/base.Seconds()-1, "ratio")
+	m.set("trace.overhead_share", walls[name].Seconds()/base.wall.Seconds()-1, "ratio")
 	return m, nil
 }
 

@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload drive --seed 7 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload drive --seed 7 --seconds 48 --trace 0
 
 The Go build cache, temporary files and the traced run's spans stay under
 .bench_build/ in the current directory. The run fails when it changed any

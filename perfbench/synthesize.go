@@ -10,52 +10,42 @@ import (
 	"clgen/internal/pool"
 )
 
-// synthRequests is how many synthesis seeds the closed loop cycles
-// through. Attempts per accepted kernel vary from seed to seed, so one
-// seed would measure that seed; sixteen average it out.
+// synthRequests is how many synthesis requests, each with its own seed,
+// the traced run makes. Attempts per accepted kernel vary from seed to
+// seed, so one seed would measure that seed; sixteen average it out.
 const synthRequests = 16
 
 func (b *bench) requestSeed(j int) int64 {
-	return pool.DeriveSeed(b.seed+100, int64(j%synthRequests))
+	return pool.DeriveSeed(b.seed+100, int64(j))
 }
 
-func (b *bench) synthesizePass(c *campaign, j int, tr *tracer) (passStat, error) {
-	p, _ := b.synthesizeRequest(c, j, tr)
-	return p, nil
-}
-
-// synthesizeRequest is one synthesis request from a cold filter memo. It
-// is checked against the serial synthesis of the same seed, made once
-// before it is timed: pool.Scan's contract makes the result the same for
-// every worker count.
-func (b *bench) synthesizeRequest(c *campaign, j int, tr *tracer) (passStat, core.SynthesisStats) {
+// synthesizeRequest is one traced synthesis request from a cold filter
+// memo. It is checked against the serial synthesis of the same seed:
+// pool.Scan's contract makes the result the same for every worker count.
+func (b *bench) synthesizeRequest(c *campaign, j int, tr *tracer) (time.Duration, core.SynthesisStats) {
 	seed := b.requestSeed(j)
-	want, ok := b.synthRefs[seed]
-	if !ok {
-		cache.FlushMemory()
-		// A shortfall error shows as Accepted < synthKernels in both runs.
-		ks, st, _ := c.g.SynthesizeWorkers(synthKernels, sampleOpts, seed, 1)
-		want = synthRefOf(seed, ks, st)
-		b.synthRefs[seed] = want
-	}
 	cache.FlushMemory()
-	cpu0, start := cpuTime(), time.Now()
+	// A shortfall error shows as Accepted < synthKernels in both runs.
+	ks, st, _ := c.g.SynthesizeWorkers(synthKernels, sampleOpts, seed, 1)
+	want := synthRefOf(seed, ks, st)
+	cache.FlushMemory()
+	start := time.Now()
 	id := tr.begin("core.SynthesizeWorkers", 0)
-	ks, st, _ := c.g.SynthesizeWorkers(synthKernels, sampleOpts, seed, b.workers)
+	ks, st, _ = c.g.SynthesizeWorkers(synthKernels, sampleOpts, seed, b.workers)
 	tr.end(id)
-	wall, cpu := time.Since(start), cpuTime()-cpu0
+	wall := time.Since(start)
 	b.tally.check(synthRefOf(seed, ks, st) == want, "synthesis request with seed %d", seed)
-	return passStat{kernels: len(ks), wall: wall, cpu: cpu, ops: []time.Duration{wall}}, st
+	return wall, st
 }
 
-// tracedSynthesize makes one traced request per synthesis seed and
-// reports the synthesis layers. It returns the requests' wall time.
-func (b *bench) tracedSynthesize(m metrics, c *campaign, tr *tracer) time.Duration {
+// tracedSynthesize makes the traced synthesis requests and reports the
+// synthesis layers.
+func (b *bench) tracedSynthesize(m metrics, c *campaign, tr *tracer) {
 	var wall, busy time.Duration
 	var accepted, attempts int
 	for j := 0; j < synthRequests; j++ {
-		p, st := b.synthesizeRequest(c, j, tr)
-		wall += p.wall
+		w, st := b.synthesizeRequest(c, j, tr)
+		wall += w
 		accepted += st.Accepted
 		attempts += st.Attempts
 		busy += b.replaySynthesis(c, b.requestSeed(j), st.Attempts, tr)
@@ -64,7 +54,6 @@ func (b *bench) tracedSynthesize(m metrics, c *campaign, tr *tracer) time.Durati
 	m.set("corpus.filter_us", meanUS(tr.named("corpus.FilterCached")), "us")
 	m.set("core.accept_ratio", float64(accepted)/float64(attempts), "ratio")
 	m.set("pool.busy_share", busy.Seconds()/(float64(b.workers)*wall.Seconds()), "ratio")
-	return wall
 }
 
 // replaySynthesis repeats one request's draws serially, one span per
