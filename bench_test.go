@@ -33,12 +33,13 @@ import (
 // TestMain persists a telemetry snapshot after benchmark runs: the
 // stage-duration histograms and pipeline counters accumulated while the
 // benches ran are written to BENCH_telemetry.json, giving future perf
-// PRs a baseline trajectory to diff against. Plain `go test` runs (no
-// -bench) skip the snapshot.
+// PRs a baseline trajectory to diff against. Only the full set that
+// `make bench-snapshot` runs (-bench=.) writes it; plain `go test` runs
+// and partial -bench runs leave the committed baseline alone.
 func TestMain(m *testing.M) {
 	start := time.Now()
 	code := m.Run()
-	if f := flag.Lookup("test.bench"); code == 0 && f != nil && f.Value.String() != "" {
+	if f := flag.Lookup("test.bench"); code == 0 && f != nil && writesBenchSnapshot(f.Value.String()) {
 		if err := telemetry.WriteDefaultReport("bench", "BENCH_telemetry.json", start); err != nil {
 			fmt.Fprintln(os.Stderr, "bench telemetry snapshot:", err)
 		} else {
@@ -46,6 +47,28 @@ func TestMain(m *testing.M) {
 		}
 	}
 	os.Exit(code)
+}
+
+// writesBenchSnapshot reports whether a run with the given -test.bench
+// pattern benchmarks the full set, so that its telemetry is a complete
+// baseline rather than the residue of a few selected benches.
+func writesBenchSnapshot(pattern string) bool { return pattern == "." }
+
+// TestWritesBenchSnapshot pins which -bench patterns rewrite
+// BENCH_telemetry.json: only the full set, never a selection.
+func TestWritesBenchSnapshot(t *testing.T) {
+	for pattern, want := range map[string]bool{
+		".":                    true,
+		"":                     false,
+		"BenchmarkInterpSaxpy": false,
+		"Interp":               false,
+		"Table1|Figure7":       false,
+		".*":                   false,
+	} {
+		if got := writesBenchSnapshot(pattern); got != want {
+			t.Errorf("writesBenchSnapshot(%q) = %v, want %v", pattern, got, want)
+		}
+	}
 }
 
 // --- shared world (built once; excluded from timings) ---
@@ -318,7 +341,18 @@ func BenchmarkFrontend(b *testing.B) {
 
 // BenchmarkInterpSaxpy measures kernel execution throughput.
 func BenchmarkInterpSaxpy(b *testing.B) {
-	f, err := clc.Parse(benchKernel)
+	benchInterpSaxpy(b, benchKernel, clc.TypeFloat)
+}
+
+// BenchmarkInterpSaxpyFloat4 is saxpy over float4 elements: every
+// load, multiply, add and store is a four-lane vector value.
+func BenchmarkInterpSaxpyFloat4(b *testing.B) {
+	benchInterpSaxpy(b, strings.ReplaceAll(benchKernel, "float*", "float4*"),
+		&clc.VectorType{Elem: clc.Float, Len: 4})
+}
+
+func benchInterpSaxpy(b *testing.B, src string, elem clc.Type) {
+	f, err := clc.Parse(src)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,11 +364,12 @@ func BenchmarkInterpSaxpy(b *testing.B) {
 		b.Fatal(err)
 	}
 	const n = 4096
-	bufA := interp.NewBuffer(clc.Float, n, clc.Global)
-	bufB := interp.NewBuffer(clc.Float, n, clc.Global)
+	slots := n * int(elem.Size()/4)
+	bufA := interp.NewBuffer(clc.Float, slots, clc.Global)
+	bufB := interp.NewBuffer(clc.Float, slots, clc.Global)
 	args := []interp.Value{
-		interp.PtrValue(&interp.Pointer{Buf: bufA, Elem: clc.TypeFloat}),
-		interp.PtrValue(&interp.Pointer{Buf: bufB, Elem: clc.TypeFloat}),
+		interp.PtrValue(&interp.Pointer{Buf: bufA, Elem: elem}),
+		interp.PtrValue(&interp.Pointer{Buf: bufB, Elem: elem}),
 		interp.IntValue(clc.Int, n),
 	}
 	cfg := interp.RunConfig{GlobalSize: [3]int{n, 1, 1}, LocalSize: [3]int{64, 1, 1}}

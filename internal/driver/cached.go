@@ -18,7 +18,7 @@ import (
 // checkVersion stamps cached check outcomes. The check depends on the
 // payload generator, the interpreter, and the platform-independent
 // verdict logic in this package — bump on any behavioral change.
-const checkVersion = "driver-check-v2"
+const checkVersion = "driver-check-v3"
 
 // checkEntry is the serializable mirror of a check()'s CheckResult. The
 // profile is stored by value: every conversion back hands the consumer a

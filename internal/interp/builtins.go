@@ -4,211 +4,215 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"clgen/internal/clc"
 )
 
-// callBuiltin dispatches an OpenCL built-in function call.
-func (c *wiCtx) callBuiltin(x *clc.CallExpr) (Value, error) {
+// queries are the work-item query builtins, in wiCtx.ids order.
+var queries = [...]string{"get_global_id", "get_local_id", "get_group_id",
+	"get_global_size", "get_local_size", "get_num_groups"}
+
+const globalSize = 3 // queries index of get_global_size
+
+// call compiles a call. User functions take precedence over builtins of
+// the same name; both resolve here, once.
+func (cp *compiler) call(x *clc.CallExpr) evalFn {
+	args := cp.exprs(x.Args)
+	if f, ok := cp.env.funcs[x.Fun]; ok {
+		return withArgs(args, func(c *wiCtx, vals []Value) (Value, error) { return c.call(f, vals) })
+	}
 	name := x.Fun
-	// Work-item queries take a literal-int dimension argument.
+	// evalAll evaluates every argument for its side effects.
+	evalAll := func(c *wiCtx) error {
+		for _, a := range args {
+			if _, err := a(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if q := slices.Index(queries[:], name); q >= 0 || name == "get_global_offset" {
+		// Work-item queries take one dimension argument.
+		return func(c *wiCtx) (Value, error) {
+			dim := 0
+			if len(args) > 0 {
+				v, err := args[0](c)
+				if err != nil {
+					return Value{}, err
+				}
+				dim = int(v.Int())
+			}
+			if dim < 0 || dim > 2 || q < 0 {
+				return IntValue(clc.ULong, 0), nil
+			}
+			return IntValue(clc.ULong, c.ids[q][dim]), nil
+		}
+	}
 	switch name {
-	case "get_global_id", "get_local_id", "get_group_id",
-		"get_global_size", "get_local_size", "get_num_groups", "get_global_offset":
-		dim := 0
-		if len(x.Args) > 0 {
-			v, err := c.evalExpr(x.Args[0])
-			if err != nil {
-				return Value{}, err
-			}
-			dim = int(v.Int())
-		}
-		if dim < 0 || dim > 2 {
-			return IntValue(clc.ULong, 0), nil
-		}
-		switch name {
-		case "get_global_id":
-			return IntValue(clc.ULong, c.gid[dim]), nil
-		case "get_local_id":
-			return IntValue(clc.ULong, c.lid[dim]), nil
-		case "get_group_id":
-			return IntValue(clc.ULong, c.grp[dim]), nil
-		case "get_global_size":
-			return IntValue(clc.ULong, c.gsize[dim]), nil
-		case "get_local_size":
-			return IntValue(clc.ULong, c.lsize[dim]), nil
-		case "get_num_groups":
-			return IntValue(clc.ULong, c.ngrp[dim]), nil
-		default: // get_global_offset
-			return IntValue(clc.ULong, 0), nil
-		}
 	case "get_work_dim":
-		dims := int64(1)
-		if c.gsize[1] > 1 {
-			dims = 2
+		return func(c *wiCtx) (Value, error) {
+			dims := int64(1)
+			for d := 1; d < 3; d++ {
+				if c.ids[globalSize][d] > 1 {
+					dims = int64(d + 1)
+				}
+			}
+			return IntValue(clc.UInt, dims), nil
 		}
-		if c.gsize[2] > 1 {
-			dims = 3
-		}
-		return IntValue(clc.UInt, dims), nil
 	case "barrier", "work_group_barrier", "mem_fence", "read_mem_fence", "write_mem_fence":
-		// Evaluate the flags argument for side effects.
-		for _, a := range x.Args {
-			if _, err := c.evalExpr(a); err != nil {
+		sync := name == "barrier" || name == "work_group_barrier"
+		return func(c *wiCtx) (Value, error) {
+			if err := evalAll(c); err != nil {
 				return Value{}, err
 			}
-		}
-		c.prof.Barriers++
-		if name == "barrier" || name == "work_group_barrier" {
-			if c.yield != nil {
+			c.prof.Barriers++
+			if sync && c.yield != nil {
 				if err := c.yield(); err != nil {
 					return Value{}, err
 				}
 			}
+			return Value{}, nil
 		}
-		return Value{}, nil
-	case "printf":
-		for _, a := range x.Args {
-			if _, err := c.evalExpr(a); err != nil {
-				return Value{}, err
-			}
+	case "printf", "prefetch", "wait_group_events":
+		var result Value
+		if name == "printf" {
+			result = IntValue(clc.Int, 0)
 		}
-		return IntValue(clc.Int, 0), nil
-	case "prefetch", "wait_group_events":
-		for _, a := range x.Args {
-			if _, err := c.evalExpr(a); err != nil {
-				return Value{}, err
-			}
-		}
-		return Value{}, nil
+		return func(c *wiCtx) (Value, error) { return result, evalAll(c) }
 	}
-
-	// Atomics.
 	if b := clc.LookupBuiltin(name); b != nil && b.Atomic {
-		return c.callAtomic(name, x.Args)
+		return atomic(name, args)
 	}
-
-	// Evaluate arguments once for everything below.
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := c.evalExpr(a)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-
-	// Conversions: convert_T / as_T.
-	if t, ok := clc.ConversionTarget(name); ok {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("interp: %s takes 1 argument", name)
-		}
-		if strings.HasPrefix(name, "as_") {
-			return bitReinterpret(args[0], t)
-		}
-		return Convert(args[0], t)
-	}
-
-	// vloadN / vstoreN.
-	if n, ok := clc.VectorWidthOfName(name); ok {
-		if strings.HasPrefix(name, "vload") {
-			return c.vload(n, args)
-		}
-		return Value{}, c.vstore(n, args)
-	}
-
-	// async copies: perform synchronously.
-	if name == "async_work_group_copy" || name == "async_work_group_strided_copy" {
-		return c.asyncCopy(name, args)
-	}
-
-	if fn, ok := mathBuiltins[name]; ok {
-		v, err := fn(c, args)
-		if err != nil {
-			return Value{}, fmt.Errorf("interp: %s: %w", name, err)
-		}
-		c.countArith(v.Kind, max(v.Width, 1))
-		return v, nil
-	}
-	return Value{}, fmt.Errorf("interp: unimplemented builtin %q", name)
+	return withArgs(args, cp.builtin(name))
 }
 
-func (c *wiCtx) callAtomic(name string, argExprs []clc.Expr) (Value, error) {
-	if len(argExprs) == 0 {
-		return Value{}, fmt.Errorf("interp: %s needs a pointer argument", name)
-	}
-	pv, err := c.evalExpr(argExprs[0])
-	if err != nil {
-		return Value{}, err
-	}
-	if !pv.IsPointer() {
-		return Value{}, fmt.Errorf("interp: %s on non-pointer", name)
-	}
-	p := pv.Ptr
-	old, _, err := p.Buf.loadScalar(p.Off)
-	if err != nil {
-		return Value{}, err
-	}
-	c.prof.Atomics++
-	var operand int64
-	if len(argExprs) > 1 {
-		v, err := c.evalExpr(argExprs[1])
+// withArgs evaluates the arguments, then applies f to them.
+func withArgs(args []evalFn, f func(*wiCtx, []Value) (Value, error)) evalFn {
+	return func(c *wiCtx) (Value, error) {
+		vals, base, err := c.evalArgs(args)
 		if err != nil {
 			return Value{}, err
 		}
-		operand = v.Int()
+		v, err := f(c, vals)
+		c.vals = c.vals[:base]
+		return v, err
 	}
-	base := strings.TrimPrefix(strings.TrimPrefix(name, "atomic_"), "atom_")
-	nv := old
-	switch base {
-	case "add":
-		nv = old + operand
-	case "sub":
-		nv = old - operand
-	case "inc":
-		nv = old + 1
-	case "dec":
-		nv = old - 1
-	case "xchg":
-		nv = operand
-	case "min":
-		if operand < old {
-			nv = operand
+}
+
+// builtin resolves a builtin that takes its arguments evaluated.
+func (cp *compiler) builtin(name string) func(*wiCtx, []Value) (Value, error) {
+	if t, ok := clc.ConversionTarget(name); ok {
+		reinterpret := strings.HasPrefix(name, "as_")
+		return func(c *wiCtx, args []Value) (Value, error) {
+			if len(args) != 1 {
+				return Value{}, fmt.Errorf("interp: %s takes 1 argument", name)
+			}
+			if reinterpret {
+				return bitReinterpret(args[0], t)
+			}
+			return Convert(args[0], t)
 		}
-	case "max":
-		if operand > old {
-			nv = operand
+	}
+	if n, ok := clc.VectorWidthOfName(name); ok {
+		if strings.HasPrefix(name, "vload") {
+			return func(c *wiCtx, args []Value) (Value, error) { return c.vload(n, args) }
 		}
-	case "and":
-		nv = old & operand
-	case "or":
-		nv = old | operand
-	case "xor":
-		nv = old ^ operand
-	case "cmpxchg":
-		var val int64
-		if len(argExprs) > 2 {
-			v, err := c.evalExpr(argExprs[2])
+		return func(c *wiCtx, args []Value) (Value, error) { return Value{}, c.vstore(n, args) }
+	}
+	if name == "async_work_group_copy" || name == "async_work_group_strided_copy" {
+		// Async copies complete synchronously.
+		return func(c *wiCtx, args []Value) (Value, error) { return c.asyncCopy(name, args) }
+	}
+	if fn, ok := mathBuiltins[name]; ok {
+		return func(c *wiCtx, args []Value) (Value, error) {
+			v, err := fn(c, args)
+			if err != nil {
+				return Value{}, fmt.Errorf("interp: %s: %w", name, err)
+			}
+			c.countArith(v.Kind, v.Width)
+			return v, nil
+		}
+	}
+	err := fmt.Errorf("interp: unimplemented builtin %q", name)
+	return func(*wiCtx, []Value) (Value, error) { return Value{}, err }
+}
+
+// atomic compiles an atomic read-modify-write. The pointer is evaluated
+// and read before the operands.
+func atomic(name string, args []evalFn) evalFn {
+	op := strings.TrimPrefix(strings.TrimPrefix(name, "atomic_"), "atom_")
+	operand := func(c *wiCtx, i int) (int64, error) {
+		if len(args) <= i {
+			return 0, nil
+		}
+		v, err := args[i](c)
+		return v.Int(), err
+	}
+	return func(c *wiCtx) (Value, error) {
+		if len(args) == 0 {
+			return Value{}, fmt.Errorf("interp: %s needs a pointer argument", name)
+		}
+		pv, err := args[0](c)
+		if err != nil {
+			return Value{}, err
+		}
+		if !pv.IsPointer() {
+			return Value{}, fmt.Errorf("interp: %s on non-pointer", name)
+		}
+		p := pv.Ptr
+		old, _, err := p.Buf.loadScalar(p.Off)
+		if err != nil {
+			return Value{}, err
+		}
+		c.prof.Atomics++
+		x, err := operand(c, 1)
+		if err != nil {
+			return Value{}, err
+		}
+		nv := old
+		switch op {
+		case "add":
+			nv = old + x
+		case "sub":
+			nv = old - x
+		case "inc":
+			nv = old + 1
+		case "dec":
+			nv = old - 1
+		case "xchg":
+			nv = x
+		case "min":
+			nv = min(old, x)
+		case "max":
+			nv = max(old, x)
+		case "and":
+			nv = old & x
+		case "or":
+			nv = old | x
+		case "xor":
+			nv = old ^ x
+		case "cmpxchg":
+			val, err := operand(c, 2)
 			if err != nil {
 				return Value{}, err
 			}
-			val = v.Int()
+			if old == x {
+				nv = val
+			}
+		default:
+			return Value{}, fmt.Errorf("interp: unknown atomic %q", name)
 		}
-		if old == operand {
-			nv = val
+		if err := p.Buf.storeScalar(p.Off, nv, float64(nv)); err != nil {
+			return Value{}, err
 		}
-	default:
-		return Value{}, fmt.Errorf("interp: unknown atomic %q", name)
+		kind := clc.Int
+		if st, ok := p.Elem.(*clc.ScalarType); ok {
+			kind = st.Kind
+		}
+		return IntValue(kind, old), nil
 	}
-	if err := p.Buf.storeScalar(p.Off, nv, float64(nv)); err != nil {
-		return Value{}, err
-	}
-	kind := clc.Int
-	if st, ok := p.Elem.(*clc.ScalarType); ok {
-		kind = st.Kind
-	}
-	return IntValue(kind, old), nil
 }
 
 func (c *wiCtx) vload(n int, args []Value) (Value, error) {
@@ -218,19 +222,17 @@ func (c *wiCtx) vload(n int, args []Value) (Value, error) {
 	p := args[1].Ptr
 	off := args[0].Int() * int64(n)
 	kind := elemKind(p.Elem)
-	out := Value{Kind: kind, Width: n}
-	for l := 0; l < n; l++ {
+	src := Value{Kind: p.Buf.Kind, Width: 1}
+	ls := make([]lane, n)
+	for l := range ls {
 		i, f, err := p.Buf.loadScalar(p.Off + off + int64(l))
 		if err != nil {
 			return Value{}, err
 		}
-		s := Value{Kind: p.Buf.Kind, Width: 1}
-		s.I[0], s.F[0] = i, f
-		cs := ConvertScalar(s, kind)
-		out.I[l], out.F[l] = cs.I[0], cs.F[0]
+		ls[l] = convertLane(lane{i, f}, src, kind)
 	}
 	c.countMem(p.Buf.Space, n, false)
-	return out, nil
+	return vector(kind, ls), nil
 }
 
 func (c *wiCtx) vstore(n int, args []Value) error {
@@ -241,14 +243,13 @@ func (c *wiCtx) vstore(n int, args []Value) error {
 	off := args[1].Int() * int64(n)
 	v := args[0]
 	for l := 0; l < n; l++ {
-		var lane Value
+		var cb lane
 		if v.Width > 1 {
-			lane = v.Lane(l % v.Width)
+			cb = convertLane(v.lane(l%v.Width), v, p.Buf.Kind)
 		} else {
-			lane = v
+			cb = convertLane(v.lane(0), v, p.Buf.Kind)
 		}
-		cb := ConvertScalar(lane, p.Buf.Kind)
-		if err := p.Buf.storeScalar(p.Off+off+int64(l), cb.I[0], cb.F[0]); err != nil {
+		if err := p.Buf.storeScalar(p.Off+off+int64(l), cb.i, cb.f); err != nil {
 			return err
 		}
 	}
@@ -264,10 +265,7 @@ func (c *wiCtx) asyncCopy(name string, args []Value) (Value, error) {
 	n := args[2].Int() * scalarSlots(dst.Elem)
 	stride := int64(1)
 	if name == "async_work_group_strided_copy" && len(args) > 3 {
-		stride = args[3].Int()
-		if stride < 1 {
-			stride = 1
-		}
+		stride = max(args[3].Int(), 1)
 	}
 	for i := int64(0); i < n; i++ {
 		iv, fv, err := src.Buf.loadScalar(src.Off + i*stride)
@@ -290,13 +288,13 @@ func bitReinterpret(v Value, t clc.Type) (Value, error) {
 	if isScalar && v.Width <= 1 {
 		switch {
 		case st.Kind == clc.Float && !v.Kind.IsFloat():
-			return FloatValue(clc.Float, float64(math.Float32frombits(uint32(v.I[0])))), nil
+			return FloatValue(clc.Float, float64(math.Float32frombits(uint32(v.i)))), nil
 		case st.Kind.IsInteger() && (v.Kind == clc.Float || v.Kind == clc.Half):
-			return IntValue(st.Kind, int64(math.Float32bits(float32(v.F[0])))), nil
+			return IntValue(st.Kind, int64(math.Float32bits(float32(v.f)))), nil
 		case st.Kind == clc.Double && !v.Kind.IsFloat():
-			return FloatValue(clc.Double, math.Float64frombits(uint64(v.I[0]))), nil
+			return FloatValue(clc.Double, math.Float64frombits(uint64(v.i))), nil
 		case st.Kind.IsInteger() && v.Kind == clc.Double:
-			return IntValue(st.Kind, int64(math.Float64bits(v.F[0]))), nil
+			return IntValue(st.Kind, int64(math.Float64bits(v.f))), nil
 		}
 	}
 	return Convert(v, t)
@@ -305,81 +303,60 @@ func bitReinterpret(v Value, t clc.Type) (Value, error) {
 // mathFn implements one math-family builtin over evaluated arguments.
 type mathFn func(c *wiCtx, args []Value) (Value, error)
 
+// arity wraps f with a check of the argument count.
+func arity(n int, f func(args []Value) (Value, error)) mathFn {
+	return func(c *wiCtx, args []Value) (Value, error) {
+		if len(args) != n {
+			if n == 1 {
+				return Value{}, fmt.Errorf("want 1 argument")
+			}
+			return Value{}, fmt.Errorf("want %d arguments", n)
+		}
+		return f(args)
+	}
+}
+
 // laneUnary lifts a float function lane-wise.
 func laneUnary(f func(float64) float64) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		return mapLanes1(args[0], f), nil
-	}
+	return arity(1, func(args []Value) (Value, error) { return mapLanes1(args[0], f), nil })
 }
 
 func laneBinary(f func(a, b float64) float64) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
-		return mapLanes2(args[0], args[1], f), nil
-	}
+	return arity(2, func(args []Value) (Value, error) { return mapLanes2(args[0], args[1], f), nil })
 }
 
 func laneTernary(f func(a, b, x float64) float64) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
-		return mapLanes3(args[0], args[1], args[2], f), nil
+	return arity(3, func(args []Value) (Value, error) { return mapLanes3(args[0], args[1], args[2], f), nil })
+}
+
+// floatLane is a float result lane, rounded to single precision for float.
+func floatLane(kind clc.ScalarKind, r float64) lane {
+	if kind == clc.Float {
+		r = float64(float32(r))
 	}
+	return lane{int64(clampToInt64(r)), r}
 }
 
 func mapLanes1(v Value, f func(float64) float64) Value {
-	w := max(v.Width, 1)
 	kind := floatKindFor(v.Kind)
-	out := Value{Kind: kind, Width: w}
-	for l := 0; l < w; l++ {
-		r := f(v.Lane(l).Float())
-		if kind == clc.Float {
-			r = float64(float32(r))
-		}
-		out.F[l] = r
-		out.I[l] = int64(clampToInt64(r))
-	}
-	return out
+	return makeValue(kind, max(v.Width, 1), func(l int) lane { return floatLane(kind, f(v.Lane(l).Float())) })
 }
 
 func mapLanes2(a, b Value, f func(x, y float64) float64) Value {
 	kind, w := promote(a, b)
 	kind = floatKindFor(kind)
 	av, bv := widen(a, kind, w), widen(b, kind, w)
-	out := Value{Kind: kind, Width: w}
-	for l := 0; l < w; l++ {
-		r := f(av.F[l], bv.F[l])
-		if kind == clc.Float {
-			r = float64(float32(r))
-		}
-		out.F[l] = r
-		out.I[l] = int64(clampToInt64(r))
-	}
-	return out
+	return makeValue(kind, w, func(l int) lane { return floatLane(kind, f(av.lane(l).f, bv.lane(l).f)) })
 }
 
 func mapLanes3(a, b, x Value, f func(p, q, r float64) float64) Value {
 	kind, w := promote(a, b)
-	k2, w2 := promote(x, Value{Kind: kind, Width: w})
-	kind, w = k2, w2
+	kind, w = promote(x, Value{Kind: kind, Width: w})
 	kind = floatKindFor(kind)
 	av, bv, xv := widen(a, kind, w), widen(b, kind, w), widen(x, kind, w)
-	out := Value{Kind: kind, Width: w}
-	for l := 0; l < w; l++ {
-		r := f(av.F[l], bv.F[l], xv.F[l])
-		if kind == clc.Float {
-			r = float64(float32(r))
-		}
-		out.F[l] = r
-		out.I[l] = int64(clampToInt64(r))
-	}
-	return out
+	return makeValue(kind, w, func(l int) lane {
+		return floatLane(kind, f(av.lane(l).f, bv.lane(l).f, xv.lane(l).f))
+	})
 }
 
 // floatKindFor maps integer kinds to float for math functions that always
@@ -391,19 +368,100 @@ func floatKindFor(k clc.ScalarKind) clc.ScalarKind {
 	return clc.Float
 }
 
-// intPreserving applies an integer function lane-wise, keeping the input
-// kind (used by min/max/clamp/abs families on integer inputs).
-func intLaneBinary(f func(a, b int64) int64) func(a, b Value) Value {
-	return func(a, b Value) Value {
-		kind, w := promote(a, b)
-		av, bv := widen(a, kind, w), widen(b, kind, w)
-		out := Value{Kind: kind, Width: w}
-		for l := 0; l < w; l++ {
-			out.I[l] = truncInt(kind, f(av.I[l], bv.I[l]))
-			out.F[l] = float64(out.I[l])
+// intLane is an integer result lane of kind.
+func intLane(kind clc.ScalarKind, i int64) lane {
+	i = truncInt(kind, i)
+	return lane{i, float64(i)}
+}
+
+// boolLane is a relational result lane.
+func boolLane(b bool) lane {
+	i := boolToInt(b)
+	return lane{i, float64(i)}
+}
+
+func wrapIntBinary(f func(a, b int64) int64) mathFn {
+	return arity(2, func(args []Value) (Value, error) {
+		kind, w := promote(args[0], args[1])
+		av, bv := widen(args[0], kind, w), widen(args[1], kind, w)
+		return makeValue(kind, w, func(l int) lane { return intLane(kind, f(av.lane(l).i, bv.lane(l).i)) }), nil
+	})
+}
+
+func wrapIntUnary(f func(a int64) int64) mathFn {
+	return arity(1, func(args []Value) (Value, error) {
+		v := args[0]
+		return makeValue(v.Kind, max(v.Width, 1), func(l int) lane { return intLane(v.Kind, f(v.lane(l).i)) }), nil
+	})
+}
+
+func boolLaneUnary(f func(float64) bool) mathFn {
+	return arity(1, func(args []Value) (Value, error) {
+		v := args[0]
+		return makeValue(clc.Int, max(v.Width, 1), func(l int) lane { return boolLane(f(v.Lane(l).Float())) }), nil
+	})
+}
+
+func cmp2(f func(a, b float64) bool) mathFn {
+	return arity(2, func(args []Value) (Value, error) {
+		kind, w := promote(args[0], args[1])
+		av, bv := widen(args[0], kind, w), widen(args[1], kind, w)
+		return makeValue(clc.Int, w, func(l int) lane { return boolLane(f(av.Lane(l).Float(), bv.Lane(l).Float())) }), nil
+	})
+}
+
+// minMax is OpenCL min/max over promoted operands, integer-aware.
+func minMax(isMax bool, a, b Value) Value {
+	kind, w := promote(a, b)
+	av, bv := widen(a, kind, w), widen(b, kind, w)
+	return makeValue(kind, w, func(l int) lane {
+		x, y := av.lane(l), bv.lane(l)
+		var takeB bool
+		if kind.IsFloat() {
+			takeB = y.f > x.f == isMax && y.f != x.f
+		} else if kind.IsUnsigned() {
+			takeB = (uint64(y.i) > uint64(x.i)) == isMax && y.i != x.i
+		} else {
+			takeB = (y.i > x.i) == isMax && y.i != x.i
 		}
-		return out
+		if takeB {
+			return y
+		}
+		return x
+	})
+}
+
+// ptrOutBinary lifts f, whose second result goes through the pointer
+// argument, lane-wise.
+func ptrOutBinary(f func(x float64) (ret, out float64)) mathFn {
+	return func(c *wiCtx, args []Value) (Value, error) {
+		if len(args) != 2 || !args[1].IsPointer() {
+			return Value{}, fmt.Errorf("want (value, pointer)")
+		}
+		v, p := args[0], args[1].Ptr
+		w, kind := max(v.Width, 1), floatKindFor(v.Kind)
+		ls := make([]lane, w)
+		for l := range ls {
+			r, o := f(v.Lane(l).Float())
+			ls[l] = lane{int64(clampToInt64(r)), r}
+			co := ConvertScalar(FloatValue(kind, o), p.Buf.Kind)
+			if err := p.Buf.storeScalar(p.Off+int64(l), co.i, co.f); err != nil {
+				return Value{}, err
+			}
+		}
+		c.countMem(p.Buf.Space, w, true)
+		return vector(kind, ls), nil
 	}
+}
+
+func signOf(x float64) float64 {
+	switch {
+	case x > 0:
+		return 1
+	case x < 0:
+		return -1
+	}
+	return 0
 }
 
 var mathBuiltins map[string]mathFn
@@ -443,7 +501,7 @@ func init() {
 		"erfc":    laneUnary(math.Erfc),
 		"tgamma":  laneUnary(math.Gamma),
 		"lgamma":  laneUnary(func(x float64) float64 { l, _ := math.Lgamma(x); return l }),
-		"sign":    laneUnary(func(x float64) float64 { return signOf(x) }),
+		"sign":    laneUnary(signOf),
 		"degrees": laneUnary(func(x float64) float64 { return x * 180 / math.Pi }),
 		"radians": laneUnary(func(x float64) float64 { return x * math.Pi / 180 }),
 		"sinpi":   laneUnary(func(x float64) float64 { return math.Sin(math.Pi * x) }),
@@ -494,44 +552,30 @@ func init() {
 			}
 			return t * t * (3 - 2*t)
 		}),
-		"nan": laneUnary(func(x float64) float64 { return math.NaN() }),
+		"nan": laneUnary(func(float64) float64 { return math.NaN() }),
 	}
 
 	// Integer-aware min/max/clamp/abs.
-	mathBuiltins["min"] = genMinMax(false)
-	mathBuiltins["max"] = genMinMax(true)
+	mathBuiltins["min"] = arity(2, func(a []Value) (Value, error) { return minMax(false, a[0], a[1]), nil })
+	mathBuiltins["max"] = arity(2, func(a []Value) (Value, error) { return minMax(true, a[0], a[1]), nil })
 	mathBuiltins["fmin"] = laneBinary(math.Min)
 	mathBuiltins["fmax"] = laneBinary(math.Max)
-	mathBuiltins["clamp"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
-		lo, err := mathBuiltins["max"](c, []Value{args[0], args[1]})
-		if err != nil {
-			return Value{}, err
-		}
-		return mathBuiltins["min"](c, []Value{lo, args[2]})
-	}
-	mathBuiltins["abs"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		v := args[0]
+	mathBuiltins["clamp"] = arity(3, func(a []Value) (Value, error) {
+		return minMax(false, minMax(true, a[0], a[1]), a[2]), nil
+	})
+	mathBuiltins["abs"] = arity(1, func(a []Value) (Value, error) {
+		v := a[0]
 		if v.Kind.IsFloat() {
 			return mapLanes1(v, math.Abs), nil
 		}
-		w := max(v.Width, 1)
-		out := Value{Kind: v.Kind, Width: w}
-		for l := 0; l < w; l++ {
-			a := v.I[l]
-			if a < 0 {
-				a = -a
+		return makeValue(v.Kind, max(v.Width, 1), func(l int) lane {
+			x := v.lane(l).i
+			if x < 0 {
+				x = -x
 			}
-			out.I[l] = a
-			out.F[l] = float64(a)
-		}
-		return out, nil
-	}
+			return lane{x, float64(x)}
+		}), nil
+	})
 	mathBuiltins["abs_diff"] = wrapIntBinary(func(a, b int64) int64 {
 		if a > b {
 			return a - b
@@ -551,128 +595,78 @@ func init() {
 		return int64(bits.RotateLeft32(uint32(a), int(b)))
 	})
 	mathBuiltins["upsample"] = wrapIntBinary(func(a, b int64) int64 { return a<<16 | (b & 0xFFFF) })
-	mathBuiltins["mad24"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
+	// mad24, mad_hi and mad_sat add their third argument to a product.
+	madOf := func(mul mathFn) mathFn {
+		return func(c *wiCtx, args []Value) (Value, error) {
+			if len(args) != 3 {
+				return Value{}, fmt.Errorf("want 3 arguments")
+			}
+			m, err := mul(c, args[:2])
+			if err != nil {
+				return Value{}, err
+			}
+			return binaryOp(clc.ADD, m, args[2])
 		}
-		m, err := mathBuiltins["mul24"](c, args[:2])
-		if err != nil {
-			return Value{}, err
-		}
-		return binaryOp(clc.ADD, m, args[2])
 	}
-	mathBuiltins["mad_hi"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
-		m, err := mathBuiltins["mul_hi"](c, args[:2])
-		if err != nil {
-			return Value{}, err
-		}
-		return binaryOp(clc.ADD, m, args[2])
-	}
-	mathBuiltins["mad_sat"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
-		m, err := binaryOp(clc.MUL, args[0], args[1])
-		if err != nil {
-			return Value{}, err
-		}
-		return binaryOp(clc.ADD, m, args[2])
-	}
+	mathBuiltins["mad24"] = madOf(mathBuiltins["mul24"])
+	mathBuiltins["mad_hi"] = madOf(mathBuiltins["mul_hi"])
+	mathBuiltins["mad_sat"] = madOf(func(c *wiCtx, a []Value) (Value, error) { return binaryOp(clc.MUL, a[0], a[1]) })
 	mathBuiltins["popcount"] = wrapIntUnary(func(a int64) int64 { return int64(bits.OnesCount64(uint64(a))) })
 	mathBuiltins["clz"] = wrapIntUnary(func(a int64) int64 { return int64(bits.LeadingZeros32(uint32(a))) })
 	mathBuiltins["ctz"] = wrapIntUnary(func(a int64) int64 { return int64(bits.TrailingZeros32(uint32(a))) })
 
 	// Geometric.
-	mathBuiltins["dot"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
+	mathBuiltins["dot"] = arity(2, func(args []Value) (Value, error) {
 		a, b := args[0], args[1]
-		w := max(a.Width, 1)
 		var s float64
-		for l := 0; l < w; l++ {
+		for l := 0; l < max(a.Width, 1); l++ {
 			s += a.Lane(l).Float() * b.Lane(l%max(b.Width, 1)).Float()
 		}
 		return FloatValue(floatKindFor(a.Kind), s), nil
-	}
-	mathBuiltins["length"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		v := args[0]
+	})
+	length := func(v Value) Value {
 		var s float64
 		for l := 0; l < max(v.Width, 1); l++ {
 			f := v.Lane(l).Float()
 			s += f * f
 		}
-		return FloatValue(floatKindFor(v.Kind), math.Sqrt(s)), nil
+		return FloatValue(floatKindFor(v.Kind), math.Sqrt(s))
 	}
+	mathBuiltins["length"] = arity(1, func(a []Value) (Value, error) { return length(a[0]), nil })
 	mathBuiltins["fast_length"] = mathBuiltins["length"]
-	mathBuiltins["distance"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
-		d, err := binaryOp(clc.SUB, args[0], args[1])
+	mathBuiltins["distance"] = arity(2, func(a []Value) (Value, error) {
+		d, err := binaryOp(clc.SUB, a[0], a[1])
 		if err != nil {
 			return Value{}, err
 		}
-		return mathBuiltins["length"](c, []Value{d})
-	}
+		return length(d), nil
+	})
 	mathBuiltins["fast_distance"] = mathBuiltins["distance"]
-	mathBuiltins["normalize"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		l, err := mathBuiltins["length"](c, args)
-		if err != nil {
-			return Value{}, err
-		}
+	mathBuiltins["normalize"] = arity(1, func(a []Value) (Value, error) {
+		l := length(a[0])
 		if l.Float() == 0 {
-			return args[0], nil
+			return a[0], nil
 		}
-		return binaryOp(clc.DIV, args[0], l)
-	}
+		return binaryOp(clc.DIV, a[0], l)
+	})
 	mathBuiltins["fast_normalize"] = mathBuiltins["normalize"]
-	mathBuiltins["cross"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
+	mathBuiltins["cross"] = arity(2, func(args []Value) (Value, error) {
 		a, b := args[0], args[1]
-		kind := floatKindFor(a.Kind)
-		w := max(a.Width, 3)
-		out := Value{Kind: kind, Width: w}
-		ax, ay, az := a.Lane(0).Float(), a.Lane(1%a.Width).Float(), a.Lane(2%a.Width).Float()
-		bx, by, bz := b.Lane(0).Float(), b.Lane(1%max(b.Width, 1)).Float(), b.Lane(2%max(b.Width, 1)).Float()
-		out.F[0] = ay*bz - az*by
-		out.F[1] = az*bx - ax*bz
-		out.F[2] = ax*by - ay*bx
-		return out, nil
-	}
+		wa, wb := max(a.Width, 1), max(b.Width, 1)
+		ax, ay, az := a.Lane(0).Float(), a.Lane(1%wa).Float(), a.Lane(2%wa).Float()
+		bx, by, bz := b.Lane(0).Float(), b.Lane(1%wb).Float(), b.Lane(2%wb).Float()
+		// Only the float views of the three result lanes are set.
+		ls := make([]lane, max(a.Width, 3))
+		ls[0].f, ls[1].f, ls[2].f = ay*bz-az*by, az*bx-ax*bz, ax*by-ay*bx
+		return vector(floatKindFor(a.Kind), ls), nil
+	})
 
 	// Relational.
 	mathBuiltins["isnan"] = boolLaneUnary(math.IsNaN)
 	mathBuiltins["isinf"] = boolLaneUnary(func(x float64) bool { return math.IsInf(x, 0) })
 	mathBuiltins["isfinite"] = boolLaneUnary(func(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) })
 	mathBuiltins["isnormal"] = boolLaneUnary(func(x float64) bool { return x != 0 && !math.IsInf(x, 0) && !math.IsNaN(x) })
-	mathBuiltins["signbit"] = boolLaneUnary(func(x float64) bool { return math.Signbit(x) })
-	cmp2 := func(f func(a, b float64) bool) mathFn {
-		return func(c *wiCtx, args []Value) (Value, error) {
-			if len(args) != 2 {
-				return Value{}, fmt.Errorf("want 2 arguments")
-			}
-			kind, w := promote(args[0], args[1])
-			av, bv := widen(args[0], kind, w), widen(args[1], kind, w)
-			out := Value{Kind: clc.Int, Width: w}
-			for l := 0; l < w; l++ {
-				out.I[l] = boolToInt(f(av.Lane(l).Float(), bv.Lane(l).Float()))
-				out.F[l] = float64(out.I[l])
-			}
-			return out, nil
-		}
-	}
+	mathBuiltins["signbit"] = boolLaneUnary(math.Signbit)
 	mathBuiltins["isequal"] = cmp2(func(a, b float64) bool { return a == b })
 	mathBuiltins["isnotequal"] = cmp2(func(a, b float64) bool { return a != b })
 	mathBuiltins["isgreater"] = cmp2(func(a, b float64) bool { return a > b })
@@ -682,93 +676,59 @@ func init() {
 	mathBuiltins["islessgreater"] = cmp2(func(a, b float64) bool { return a != b })
 	mathBuiltins["isordered"] = cmp2(func(a, b float64) bool { return !math.IsNaN(a) && !math.IsNaN(b) })
 	mathBuiltins["isunordered"] = cmp2(func(a, b float64) bool { return math.IsNaN(a) || math.IsNaN(b) })
-	mathBuiltins["any"] = func(c *wiCtx, args []Value) (Value, error) {
-		v := args[0]
-		for l := 0; l < max(v.Width, 1); l++ {
-			if v.Lane(l).Bool() {
-				return IntValue(clc.Int, 1), nil
+	// any and all report whether some or every lane is true.
+	anyAll := func(want bool) mathFn {
+		return func(c *wiCtx, args []Value) (Value, error) {
+			if len(args) == 0 {
+				return Value{}, fmt.Errorf("want 1 argument")
 			}
-		}
-		return IntValue(clc.Int, 0), nil
-	}
-	mathBuiltins["all"] = func(c *wiCtx, args []Value) (Value, error) {
-		v := args[0]
-		for l := 0; l < max(v.Width, 1); l++ {
-			if !v.Lane(l).Bool() {
-				return IntValue(clc.Int, 0), nil
+			v := args[0]
+			for l := 0; l < max(v.Width, 1); l++ {
+				if v.Lane(l).Bool() == want {
+					return IntValue(clc.Int, boolToInt(want)), nil
+				}
 			}
+			return IntValue(clc.Int, boolToInt(!want)), nil
 		}
-		return IntValue(clc.Int, 1), nil
 	}
-	mathBuiltins["select"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
+	mathBuiltins["any"] = anyAll(true)
+	mathBuiltins["all"] = anyAll(false)
+	mathBuiltins["select"] = arity(3, func(args []Value) (Value, error) {
 		a, b, sel := args[0], args[1], args[2]
 		kind, w := promote(a, b)
-		av, bv := widen(a, kind, w), widen(b, kind, w)
-		sv := widen(sel, sel.Kind, w)
-		out := Value{Kind: kind, Width: w}
-		for l := 0; l < w; l++ {
-			src := av
+		av, bv, sv := widen(a, kind, w), widen(b, kind, w), widen(sel, sel.Kind, w)
+		return makeValue(kind, w, func(l int) lane {
 			if sv.Lane(l).Bool() {
-				src = bv
+				return bv.lane(l)
 			}
-			out.I[l], out.F[l] = src.I[l], src.F[l]
-		}
-		return out, nil
-	}
-	mathBuiltins["bitselect"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
-		a, b, m := args[0], args[1], args[2]
-		kind, w := promote(a, b)
-		av, bv, mv := widen(a, kind, w), widen(b, kind, w), widen(m, kind, w)
-		out := Value{Kind: kind, Width: w}
-		for l := 0; l < w; l++ {
-			out.I[l] = (av.I[l] &^ mv.I[l]) | (bv.I[l] & mv.I[l])
-			out.F[l] = float64(out.I[l])
-		}
-		return out, nil
-	}
-	mathBuiltins["shuffle"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
+			return av.lane(l)
+		}), nil
+	})
+	mathBuiltins["bitselect"] = arity(3, func(args []Value) (Value, error) {
+		kind, w := promote(args[0], args[1])
+		av, bv, mv := widen(args[0], kind, w), widen(args[1], kind, w), widen(args[2], kind, w)
+		return makeValue(kind, w, func(l int) lane {
+			i := (av.lane(l).i &^ mv.lane(l).i) | (bv.lane(l).i & mv.lane(l).i)
+			return lane{i, float64(i)}
+		}), nil
+	})
+	mathBuiltins["shuffle"] = arity(2, func(args []Value) (Value, error) {
 		src, mask := args[0], args[1]
-		w := max(mask.Width, 1)
-		out := Value{Kind: src.Kind, Width: w}
-		for l := 0; l < w; l++ {
-			idx := int(mask.I[l]) % max(src.Width, 1)
-			if idx < 0 {
-				idx = 0
-			}
-			out.I[l], out.F[l] = src.I[idx], src.F[idx]
-		}
-		return out, nil
-	}
-	mathBuiltins["shuffle2"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
+		return makeValue(src.Kind, max(mask.Width, 1), func(l int) lane {
+			return src.lane(max(int(mask.lane(l).i)%max(src.Width, 1), 0))
+		}), nil
+	})
+	mathBuiltins["shuffle2"] = arity(3, func(args []Value) (Value, error) {
 		a, b, mask := args[0], args[1], args[2]
 		wa := max(a.Width, 1)
-		w := max(mask.Width, 1)
-		out := Value{Kind: a.Kind, Width: w}
-		for l := 0; l < w; l++ {
-			idx := int(mask.I[l]) % (wa * 2)
-			if idx < 0 {
-				idx = 0
-			}
+		return makeValue(a.Kind, max(mask.Width, 1), func(l int) lane {
+			idx := max(int(mask.lane(l).i)%(wa*2), 0)
 			if idx < wa {
-				out.I[l], out.F[l] = a.I[idx], a.F[idx]
-			} else {
-				out.I[l], out.F[l] = b.I[idx-wa], b.F[idx-wa]
+				return a.lane(idx)
 			}
-		}
-		return out, nil
-	}
+			return b.lane(idx - wa)
+		}), nil
+	})
 
 	// Pointer-out-parameter functions.
 	mathBuiltins["fract"] = ptrOutBinary(func(x float64) (float64, float64) {
@@ -779,10 +739,7 @@ func init() {
 		ip, fp := math.Modf(x)
 		return fp, ip
 	})
-	mathBuiltins["sincos"] = ptrOutBinary(func(x float64) (float64, float64) {
-		s, cc := math.Sincos(x)
-		return s, cc
-	})
+	mathBuiltins["sincos"] = ptrOutBinary(math.Sincos)
 	mathBuiltins["frexp"] = ptrOutBinary(func(x float64) (float64, float64) {
 		fr, e := math.Frexp(x)
 		return fr, float64(e)
@@ -803,10 +760,8 @@ func init() {
 	// native_* / half_* aliases.
 	for _, base := range []string{"sqrt", "rsqrt", "sin", "cos", "tan", "exp",
 		"exp2", "log", "log2", "log10"} {
-		if fn, ok := mathBuiltins[base]; ok {
-			mathBuiltins["native_"+base] = fn
-			mathBuiltins["half_"+base] = fn
-		}
+		mathBuiltins["native_"+base] = mathBuiltins[base]
+		mathBuiltins["half_"+base] = mathBuiltins[base]
 	}
 	mathBuiltins["native_recip"] = laneUnary(func(x float64) float64 { return 1 / x })
 	mathBuiltins["half_recip"] = mathBuiltins["native_recip"]
@@ -814,108 +769,4 @@ func init() {
 	mathBuiltins["half_divide"] = mathBuiltins["native_divide"]
 	mathBuiltins["native_powr"] = laneBinary(math.Pow)
 	mathBuiltins["half_powr"] = mathBuiltins["native_powr"]
-}
-
-func signOf(x float64) float64 {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	}
-	return 0
-}
-
-func genMinMax(isMax bool) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
-		a, b := args[0], args[1]
-		kind, w := promote(a, b)
-		av, bv := widen(a, kind, w), widen(b, kind, w)
-		out := Value{Kind: kind, Width: w}
-		for l := 0; l < w; l++ {
-			var takeB bool
-			if kind.IsFloat() {
-				takeB = bv.F[l] > av.F[l] == isMax && bv.F[l] != av.F[l]
-			} else if kind.IsUnsigned() {
-				takeB = (uint64(bv.I[l]) > uint64(av.I[l])) == isMax && bv.I[l] != av.I[l]
-			} else {
-				takeB = (bv.I[l] > av.I[l]) == isMax && bv.I[l] != av.I[l]
-			}
-			src := av
-			if takeB {
-				src = bv
-			}
-			out.I[l], out.F[l] = src.I[l], src.F[l]
-		}
-		return out, nil
-	}
-}
-
-func wrapIntBinary(f func(a, b int64) int64) mathFn {
-	g := intLaneBinary(f)
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
-		return g(args[0], args[1]), nil
-	}
-}
-
-func wrapIntUnary(f func(a int64) int64) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		v := args[0]
-		w := max(v.Width, 1)
-		out := Value{Kind: v.Kind, Width: w}
-		for l := 0; l < w; l++ {
-			out.I[l] = truncInt(v.Kind, f(v.I[l]))
-			out.F[l] = float64(out.I[l])
-		}
-		return out, nil
-	}
-}
-
-func boolLaneUnary(f func(float64) bool) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		v := args[0]
-		w := max(v.Width, 1)
-		out := Value{Kind: clc.Int, Width: w}
-		for l := 0; l < w; l++ {
-			out.I[l] = boolToInt(f(v.Lane(l).Float()))
-			out.F[l] = float64(out.I[l])
-		}
-		return out, nil
-	}
-}
-
-func ptrOutBinary(f func(x float64) (ret, out float64)) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 || !args[1].IsPointer() {
-			return Value{}, fmt.Errorf("want (value, pointer)")
-		}
-		v := args[0]
-		p := args[1].Ptr
-		w := max(v.Width, 1)
-		kind := floatKindFor(v.Kind)
-		out := Value{Kind: kind, Width: w}
-		for l := 0; l < w; l++ {
-			r, o := f(v.Lane(l).Float())
-			out.F[l] = r
-			out.I[l] = int64(clampToInt64(r))
-			co := ConvertScalar(FloatValue(kind, o), p.Buf.Kind)
-			if err := p.Buf.storeScalar(p.Off+int64(l), co.I[0], co.F[0]); err != nil {
-				return Value{}, err
-			}
-		}
-		c.countMem(p.Buf.Space, w, true)
-		return out, nil
-	}
 }

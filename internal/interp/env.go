@@ -23,7 +23,10 @@ type Profile struct {
 	Branches     int64
 	Barriers     int64
 	Atomics      int64
-	Steps        int64
+	// Steps is the execution budget the launch consumed: one per executed
+	// statement, loop iteration and expression node. A launch that ran
+	// out of budget reports MaxSteps+1.
+	Steps int64
 }
 
 // Add accumulates o into p.
@@ -70,31 +73,34 @@ func (p *Profile) LocalMemOps() int64 { return p.LocalLoads + p.LocalStores }
 // ComputeOps returns total arithmetic operations.
 func (p *Profile) ComputeOps() int64 { return p.IntOps + p.FloatOps }
 
-// Env is a prepared translation unit: functions resolved, file-scope
-// constants evaluated. An Env is immutable after construction and safe to
-// reuse across runs.
+// Env is a prepared translation unit: file-scope constants evaluated and
+// every function body compiled. An Env is immutable after construction
+// and safe to reuse across runs.
 type Env struct {
 	File    *clc.File
-	funcs   map[string]*clc.FuncDecl
+	funcs   map[string]*function
 	globals map[string]Value
-	consts  map[string]*Buffer // __constant / file-scope arrays
+	consts  map[string]*Pointer // __constant / file-scope arrays
 	// usesBarrier records, per function, whether its call graph can reach a
 	// barrier; kernels that cannot take the fast sequential path.
 	usesBarrier map[string]bool
+	// nLocals counts the __local array declarations in function bodies.
+	nLocals int
 }
 
-// NewEnv prepares a checked file for execution.
+// NewEnv prepares a checked file for execution. Compilation never fails:
+// a construct the interpreter cannot run raises its error when executed.
 func NewEnv(f *clc.File) (*Env, error) {
 	env := &Env{
 		File:        f,
-		funcs:       map[string]*clc.FuncDecl{},
+		funcs:       map[string]*function{},
 		globals:     map[string]Value{},
-		consts:      map[string]*Buffer{},
+		consts:      map[string]*Pointer{},
 		usesBarrier: map[string]bool{},
 	}
 	for _, fd := range f.Functions() {
 		if fd.Body != nil {
-			env.funcs[fd.Name] = fd
+			env.funcs[fd.Name] = &function{decl: fd} // a later definition wins
 		}
 	}
 	for _, d := range f.Decls {
@@ -109,6 +115,12 @@ func NewEnv(f *clc.File) (*Env, error) {
 	for name := range env.funcs {
 		env.usesBarrier[name] = env.reachesBarrier(name, map[string]bool{})
 	}
+	cp := &compiler{env: env}
+	for _, fd := range f.Functions() {
+		if fn := env.funcs[fd.Name]; fn != nil && fn.decl == fd {
+			cp.compileFunction(fn)
+		}
+	}
 	return env, nil
 }
 
@@ -120,7 +132,18 @@ func (env *Env) initGlobal(vd *clc.VarDecl) error {
 				return fmt.Errorf("initializing %s: %w", vd.Name, err)
 			}
 		}
-		env.consts[vd.Name] = buf
+		// The name decays to a pointer typed by its first array
+		// declaration.
+		var elem clc.Type = clc.TypeInt
+		for _, d := range env.File.Decls {
+			if first, ok := d.(*clc.VarDecl); ok && first.Name == vd.Name {
+				if fat, ok := first.Type.(*clc.ArrayType); ok {
+					elem = fat.Elem
+					break
+				}
+			}
+		}
+		env.consts[vd.Name] = &Pointer{Buf: buf, Elem: elem}
 		return nil
 	}
 	v := ZeroValue(vd.Type)
@@ -169,7 +192,7 @@ func fillBufferFromInitList(buf *Buffer, il *clc.InitList, off int64) error {
 			return err
 		}
 		c := ConvertScalar(v, buf.Kind)
-		if err := buf.storeScalar(pos, c.I[0], c.F[0]); err != nil {
+		if err := buf.storeScalar(pos, c.i, c.f); err != nil {
 			return err
 		}
 		pos++
@@ -245,12 +268,12 @@ func (env *Env) reachesBarrier(fn string, visiting map[string]bool) bool {
 		return false
 	}
 	visiting[fn] = true
-	fd, ok := env.funcs[fn]
+	f, ok := env.funcs[fn]
 	if !ok {
 		return false
 	}
 	found := false
-	clc.Walk(fd.Body, func(n clc.Node) bool {
+	clc.Walk(f.decl.Body, func(n clc.Node) bool {
 		if found {
 			return false
 		}
@@ -271,11 +294,11 @@ func (env *Env) reachesBarrier(fn string, visiting map[string]bool) bool {
 
 // Kernel returns the kernel declaration with the given name, or an error.
 func (env *Env) Kernel(name string) (*clc.FuncDecl, error) {
-	fd, ok := env.funcs[name]
-	if !ok || !fd.IsKernel {
+	fn, ok := env.funcs[name]
+	if !ok || !fn.decl.IsKernel {
 		return nil, fmt.Errorf("interp: no kernel %q", name)
 	}
-	return fd, nil
+	return fn.decl, nil
 }
 
 // Kernels lists the kernel names in declaration order.

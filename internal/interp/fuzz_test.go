@@ -1,0 +1,154 @@
+package interp_test
+
+import (
+	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"clgen/internal/clc"
+	"clgen/internal/interp"
+	"clgen/internal/suites"
+)
+
+// fuzzSteps is FuzzRun's budget per launch.
+const fuzzSteps = 1 << 14
+
+// FuzzRun executes every input that parses and type-checks, each of its
+// kernels on a small NDRange and budget. The invariants: no Go panic; a
+// launch that consumed more than its budget (Profile.Steps) failed with
+// ErrStepLimit, and one that failed with ErrStepLimit consumed exactly one
+// step past it; and every work-item goroutine of a lockstep launch has
+// exited once Run returns.
+func FuzzRun(f *testing.F) {
+	for _, b := range suites.All() {
+		f.Add(b.Src)
+	}
+	for _, src := range fixtureKernels(f, "interp_test.go") {
+		f.Add(src)
+	}
+	f.Add(`__kernel void A(__global int* a) {
+  int x = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17};
+  a[0] = x;
+}`)
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<12 {
+			return
+		}
+		file, err := clc.Parse(src)
+		if err != nil || clc.Check(file) != nil {
+			return
+		}
+		env, err := interp.NewEnv(file)
+		if err != nil {
+			return
+		}
+		for _, name := range env.Kernels() {
+			fd, err := env.Kernel(name)
+			if err != nil {
+				continue
+			}
+			args, ok := fuzzArgs(fd)
+			if !ok {
+				continue
+			}
+			before := runtime.NumGoroutine()
+			prof, err := env.Run(name, args, interp.RunConfig{
+				GlobalSize: [3]int{8, 1, 1}, LocalSize: [3]int{4, 1, 1}, MaxSteps: fuzzSteps,
+			})
+			if prof != nil {
+				limit := errors.Is(err, interp.ErrStepLimit)
+				if prof.Steps > fuzzSteps && !limit {
+					t.Errorf("%s: consumed %d steps of %d without ErrStepLimit (err %v)", name, prof.Steps, fuzzSteps, err)
+				}
+				if limit && prof.Steps != fuzzSteps+1 {
+					t.Errorf("%s: ErrStepLimit after %d steps, want %d", name, prof.Steps, fuzzSteps+1)
+				}
+			}
+			if n := settledGoroutines(before); n > before {
+				t.Errorf("%s: %d goroutines after the launch, %d before", name, n, before)
+			}
+		}
+	})
+}
+
+// settledGoroutines waits briefly for exiting goroutines to finish and
+// returns the goroutine count.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// fuzzArgs builds small arguments for a kernel: 64-element buffers with
+// fixed contents and small scalars. Kernels with struct or nested pointer
+// parameters are skipped.
+func fuzzArgs(fd *clc.FuncDecl) ([]interp.Value, bool) {
+	args := make([]interp.Value, len(fd.Params))
+	for i, p := range fd.Params {
+		switch t := p.Type.(type) {
+		case *clc.PointerType:
+			kind, per := clc.ScalarKind(0), 1
+			switch e := t.Elem.(type) {
+			case *clc.ScalarType:
+				kind = e.Kind
+			case *clc.VectorType:
+				kind, per = e.Elem, e.Len
+			default:
+				return nil, false
+			}
+			buf := interp.NewBuffer(kind, 64*per, t.Space)
+			for j := range buf.F {
+				buf.F[j] = float64(j%7) - 2.5
+			}
+			for j := range buf.I {
+				buf.I[j] = int64(j % 5)
+			}
+			args[i] = interp.PtrValue(&interp.Pointer{Buf: buf, Elem: t.Elem})
+		case *clc.ScalarType:
+			if t.Kind.IsFloat() {
+				args[i] = interp.FloatValue(t.Kind, 1.5)
+			} else {
+				args[i] = interp.IntValue(t.Kind, 4)
+			}
+		case *clc.VectorType:
+			args[i] = interp.Splat(interp.IntValue(clc.Int, 3), t.Elem, t.Len)
+		default:
+			return nil, false
+		}
+	}
+	return args, true
+}
+
+// fixtureKernels returns the kernel sources written as raw string
+// literals in a test file of this package.
+func fixtureKernels(tb testing.TB, path string) []string {
+	tb.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		lit, ok := n.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING || !strings.HasPrefix(lit.Value, "`") {
+			return true
+		}
+		if s, err := strconv.Unquote(lit.Value); err == nil && strings.Contains(s, "__kernel") {
+			out = append(out, s)
+		}
+		return true
+	})
+	if len(out) == 0 {
+		tb.Fatalf("no kernel fixtures in %s", path)
+	}
+	return out
+}

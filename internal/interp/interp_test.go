@@ -649,3 +649,90 @@ func TestKernelArgValidation(t *testing.T) {
 		t.Error("indivisible NDRange accepted")
 	}
 }
+
+func TestProfileSteps(t *testing.T) {
+	// One budget unit per executed statement, loop iteration and
+	// expression node. Per work-item:
+	//   int s = 0;                          decl 1 + literal 1          =  2
+	//   for (...)                           statement                   =  1
+	//     int i = 0                         decl 1 + literal 1          =  2
+	//     each of 2 iterations              iteration 1 + (i < 2) 3
+	//                                       + block 1 + expr stmt 1
+	//                                       + (s += i) 2 + i++ 1        = 18
+	//     exit                              iteration 1 + (i < 2) 3     =  4
+	//   a[0] = s;                           expr stmt 1 + assign 1
+	//                                       + s 1 + a 1 + 0 1           =  5
+	// Total 32, so two work-items consume 64.
+	env := buildEnv(t, `__kernel void A(__global int* a) {
+  int s = 0;
+  for (int i = 0; i < 2; i++) { s += i; }
+  a[0] = s;
+}`)
+	a := intBuf(make([]int64, 1))
+	prof, err := env.Run("A", []Value{ptrArg(a, clc.TypeInt)},
+		RunConfig{GlobalSize: [3]int{2, 1, 1}, LocalSize: [3]int{2, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof.Steps != 64 {
+		t.Errorf("Steps = %d, want 64", prof.Steps)
+	}
+	// Running out of budget reports one step past it.
+	_, err = env.Run("A", []Value{ptrArg(a, clc.TypeInt)},
+		RunConfig{GlobalSize: [3]int{2, 1, 1}, LocalSize: [3]int{2, 1, 1}, MaxSteps: 40})
+	if !errors.Is(err, ErrStepLimit) {
+		t.Fatalf("err = %v, want ErrStepLimit", err)
+	}
+	prof, _ = env.Run("A", []Value{ptrArg(a, clc.TypeInt)},
+		RunConfig{GlobalSize: [3]int{2, 1, 1}, LocalSize: [3]int{2, 1, 1}, MaxSteps: 40})
+	if prof.Steps != 41 {
+		t.Errorf("Steps at the limit = %d, want 41", prof.Steps)
+	}
+}
+
+func TestAddressOfScalar(t *testing.T) {
+	// Accesses by name are not memory operations; accesses through the
+	// pointer are private ones.
+	for _, tc := range []struct {
+		name, body string
+		want       []float64
+		private    int64
+	}{
+		{"fract out-parameter", `float y = 7.0f;
+  float f = fract(2.25f, &y);
+  a[0] = f; a[1] = y; a[2] = y + 1.0f;`, []float64{0.25, 2, 3}, 1},
+		{"store through pointer", `float y = 1.0f;
+  float* p = &y;
+  *p = 5.0f;
+  a[0] = y; a[1] = *p; y = 6.0f; a[2] = *p;`, []float64{5, 5, 6}, 3},
+	} {
+		env := buildEnv(t, "__kernel void A(__global float* a) {\n  "+tc.body+"\n}")
+		a := floatBuf(make([]float64, 3))
+		prof, err := env.Run("A", []Value{ptrArg(a, clc.TypeFloat)},
+			RunConfig{GlobalSize: [3]int{1, 1, 1}, LocalSize: [3]int{1, 1, 1}})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, w := range tc.want {
+			if a.F[i] != w {
+				t.Errorf("%s: a[%d] = %g, want %g", tc.name, i, a.F[i], w)
+			}
+		}
+		if prof.PrivateOps != tc.private {
+			t.Errorf("%s: PrivateOps = %d, want %d", tc.name, prof.PrivateOps, tc.private)
+		}
+	}
+}
+
+func TestWideBraceInitializerIsAnError(t *testing.T) {
+	env := buildEnv(t, `__kernel void A(__global int* a) {
+  int x = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17};
+  a[0] = x;
+}`)
+	a := intBuf(make([]int64, 1))
+	_, err := env.Run("A", []Value{ptrArg(a, clc.TypeInt)},
+		RunConfig{GlobalSize: [3]int{1, 1, 1}, LocalSize: [3]int{1, 1, 1}})
+	if err == nil {
+		t.Fatal("17-element brace initializer ran without error")
+	}
+}

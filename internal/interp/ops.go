@@ -18,12 +18,15 @@ func binaryOp(op clc.TokenKind, a, b Value) (Value, error) {
 		return pointerOp(op, a, b)
 	}
 	kind, width := promote(a, b)
-	av := widen(a, kind, width)
-	bv := widen(b, kind, width)
-
+	if width == 1 {
+		return scalarOp(op, kind, widenLane(a, kind), widenLane(b, kind))
+	}
+	av, bv := widen(a, kind, width), widen(b, kind, width)
 	switch op {
 	case clc.EQ, clc.NEQ, clc.LT, clc.GT, clc.LEQ, clc.GEQ:
-		return compareOp(op, av, bv, kind, width), nil
+		return makeValue(clc.Int, width, func(l int) lane {
+			return boolLane(compareLanes(op, kind, av.lane(l), bv.lane(l)))
+		}), nil
 	case clc.LAND:
 		return IntValue(clc.Int, boolToInt(av.Bool() && bv.Bool())), nil
 	case clc.LOR:
@@ -31,31 +34,67 @@ func binaryOp(op clc.TokenKind, a, b Value) (Value, error) {
 	case clc.COMMA:
 		return bv, nil
 	}
-
-	out := Value{Kind: kind, Width: width}
-	if kind.IsFloat() {
-		for l := 0; l < width; l++ {
-			f, err := floatBinary(op, av.F[l], bv.F[l])
-			if err != nil {
-				return Value{}, err
-			}
-			if kind == clc.Float || kind == clc.Half {
-				f = float64(float32(f))
-			}
-			out.F[l] = f
-			out.I[l] = int64(clampToInt64(f))
-		}
-		return out, nil
-	}
-	for l := 0; l < width; l++ {
-		i, err := intBinary(op, av.I[l], bv.I[l], kind)
+	ls := make([]lane, width)
+	for l := range ls {
+		r, err := arith(op, kind, av.lane(l), bv.lane(l))
 		if err != nil {
 			return Value{}, err
 		}
-		out.I[l] = truncInt(kind, i)
-		out.F[l] = float64(out.I[l])
+		ls[l] = r
 	}
-	return out, nil
+	return vector(kind, ls), nil
+}
+
+// scalarOp is binaryOp on two scalars already promoted to kind.
+func scalarOp(op clc.TokenKind, kind clc.ScalarKind, x, y lane) (Value, error) {
+	switch op {
+	case clc.EQ, clc.NEQ, clc.LT, clc.GT, clc.LEQ, clc.GEQ:
+		r := boolLane(compareLanes(op, kind, x, y))
+		return scalar(clc.Int, r.i, r.f), nil
+	case clc.LAND:
+		return IntValue(clc.Int, boolToInt(scalar(kind, x.i, x.f).Bool() && scalar(kind, y.i, y.f).Bool())), nil
+	case clc.LOR:
+		return IntValue(clc.Int, boolToInt(scalar(kind, x.i, x.f).Bool() || scalar(kind, y.i, y.f).Bool())), nil
+	case clc.COMMA:
+		return scalar(kind, y.i, y.f), nil
+	}
+	r, err := arith(op, kind, x, y)
+	if err != nil {
+		return Value{}, err
+	}
+	return scalar(kind, r.i, r.f), nil
+}
+
+// compareLanes applies a relational operator to one lane pair of kind.
+func compareLanes(op clc.TokenKind, kind clc.ScalarKind, x, y lane) bool {
+	if kind.IsFloat() {
+		return compare(op, x.f, y.f)
+	}
+	if kind.IsUnsigned() {
+		return compare(op, uint64(x.i), uint64(y.i))
+	}
+	return compare(op, x.i, y.i)
+}
+
+// arith applies an arithmetic or bitwise operator to one lane pair of the
+// promoted kind.
+func arith(op clc.TokenKind, kind clc.ScalarKind, x, y lane) (lane, error) {
+	if kind.IsFloat() {
+		f, err := floatBinary(op, x.f, y.f)
+		if err != nil {
+			return lane{}, err
+		}
+		if kind == clc.Float || kind == clc.Half {
+			f = float64(float32(f))
+		}
+		return lane{int64(clampToInt64(f)), f}, nil
+	}
+	i, err := intBinary(op, x.i, y.i, kind)
+	if err != nil {
+		return lane{}, err
+	}
+	i = truncInt(kind, i)
+	return lane{i, float64(i)}, nil
 }
 
 func promote(a, b Value) (clc.ScalarKind, int) {
@@ -73,35 +112,13 @@ func promote(a, b Value) (clc.ScalarKind, int) {
 	return kind, width
 }
 
-// rankOf mirrors clc's promotion rank for runtime kinds.
+// rankOf mirrors clc's promotion rank for runtime kinds, which clc
+// declares in rank order after void.
 func rankOf(k clc.ScalarKind) int {
-	switch k {
-	case clc.Bool:
-		return 0
-	case clc.Char:
-		return 1
-	case clc.UChar:
-		return 2
-	case clc.Short:
-		return 3
-	case clc.UShort:
-		return 4
-	case clc.Int:
-		return 5
-	case clc.UInt:
-		return 6
-	case clc.Long:
-		return 7
-	case clc.ULong:
-		return 8
-	case clc.Half:
-		return 9
-	case clc.Float:
-		return 10
-	case clc.Double:
-		return 11
+	if k > clc.Double {
+		return -1
 	}
-	return -1
+	return int(k) - 1
 }
 
 func widen(v Value, kind clc.ScalarKind, width int) Value {
@@ -111,12 +128,15 @@ func widen(v Value, kind clc.ScalarKind, width int) Value {
 	if v.Width <= 1 {
 		return Splat(v, kind, width)
 	}
-	out := Value{Kind: kind, Width: width}
-	for l := 0; l < width && l < v.Width; l++ {
-		s := ConvertScalar(v.Lane(l), kind)
-		out.I[l], out.F[l] = s.I[0], s.F[0]
+	return makeValue(kind, width, func(l int) lane { return convertLane(v.lane(l), v, kind) })
+}
+
+// widenLane is widen to a scalar of kind, as a lane.
+func widenLane(v Value, kind clc.ScalarKind) lane {
+	if v.Width == 1 && v.Kind == kind {
+		return lane{v.i, v.f}
 	}
-	return out
+	return convertLane(v.lane(0), v, kind)
 }
 
 func boolToInt(b bool) int64 {
@@ -126,60 +146,8 @@ func boolToInt(b bool) int64 {
 	return 0
 }
 
-func compareOp(op clc.TokenKind, a, b Value, kind clc.ScalarKind, width int) Value {
-	out := Value{Kind: clc.Int, Width: width}
-	for l := 0; l < width; l++ {
-		var res bool
-		if kind.IsFloat() {
-			res = floatCompare(op, a.F[l], b.F[l])
-		} else if kind.IsUnsigned() {
-			res = uintCompare(op, uint64(a.I[l]), uint64(b.I[l]))
-		} else {
-			res = intCompare(op, a.I[l], b.I[l])
-		}
-		out.I[l] = boolToInt(res)
-		out.F[l] = float64(out.I[l])
-	}
-	return out
-}
-
-func floatCompare(op clc.TokenKind, a, b float64) bool {
-	switch op {
-	case clc.EQ:
-		return a == b
-	case clc.NEQ:
-		return a != b
-	case clc.LT:
-		return a < b
-	case clc.GT:
-		return a > b
-	case clc.LEQ:
-		return a <= b
-	case clc.GEQ:
-		return a >= b
-	}
-	return false
-}
-
-func intCompare(op clc.TokenKind, a, b int64) bool {
-	switch op {
-	case clc.EQ:
-		return a == b
-	case clc.NEQ:
-		return a != b
-	case clc.LT:
-		return a < b
-	case clc.GT:
-		return a > b
-	case clc.LEQ:
-		return a <= b
-	case clc.GEQ:
-		return a >= b
-	}
-	return false
-}
-
-func uintCompare(op clc.TokenKind, a, b uint64) bool {
+// compare applies a relational operator.
+func compare[T int64 | uint64 | float64](op clc.TokenKind, a, b T) bool {
 	switch op {
 	case clc.EQ:
 		return a == b
@@ -299,7 +267,7 @@ func pointerOp(op clc.TokenKind, a, b Value) (Value, error) {
 		case clc.NEQ:
 			return IntValue(clc.Int, boolToInt(!(a.Ptr.Buf == b.Ptr.Buf && a.Ptr.Off == b.Ptr.Off))), nil
 		case clc.LT, clc.GT, clc.LEQ, clc.GEQ:
-			return IntValue(clc.Int, boolToInt(intCompare(op, a.Ptr.Off, b.Ptr.Off))), nil
+			return IntValue(clc.Int, boolToInt(compare(op, a.Ptr.Off, b.Ptr.Off))), nil
 		}
 	}
 	return Value{}, fmt.Errorf("invalid pointer operation %s", op)
@@ -311,29 +279,24 @@ func unaryOp(op clc.TokenKind, v Value) (Value, error) {
 	case clc.ADD:
 		return v, nil
 	case clc.SUB:
-		out := Value{Kind: v.Kind, Width: max(v.Width, 1)}
-		for l := 0; l < out.Width; l++ {
+		return makeValue(v.Kind, max(v.Width, 1), func(l int) lane {
+			x := v.lane(l)
 			if v.Kind.IsFloat() {
-				out.F[l] = -v.F[l]
-				out.I[l] = int64(clampToInt64(out.F[l]))
-			} else {
-				out.I[l] = truncInt(v.Kind, -v.I[l])
-				out.F[l] = float64(out.I[l])
+				return lane{int64(clampToInt64(-x.f)), -x.f}
 			}
-		}
-		return out, nil
+			i := truncInt(v.Kind, -x.i)
+			return lane{i, float64(i)}
+		}), nil
 	case clc.NOT:
 		return IntValue(clc.Int, boolToInt(!v.Bool())), nil
 	case clc.BNOT:
 		if v.Kind.IsFloat() {
 			return Value{}, fmt.Errorf("operator ~ on float operand")
 		}
-		out := Value{Kind: v.Kind, Width: max(v.Width, 1)}
-		for l := 0; l < out.Width; l++ {
-			out.I[l] = truncInt(v.Kind, ^v.I[l])
-			out.F[l] = float64(out.I[l])
-		}
-		return out, nil
+		return makeValue(v.Kind, max(v.Width, 1), func(l int) lane {
+			i := truncInt(v.Kind, ^v.lane(l).i)
+			return lane{i, float64(i)}
+		}), nil
 	}
 	return Value{}, fmt.Errorf("unsupported unary operator %s", op)
 }

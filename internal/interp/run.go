@@ -30,7 +30,7 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 		return nil, fmt.Errorf("interp: kernel %q takes %d arguments, got %d", name, len(fd.Params), len(args))
 	}
 	// Identify __local pointer parameters (per-group allocation).
-	localTemplate := map[int]int{} // param index -> scalar slots
+	var localArgs []int
 	for i, p := range fd.Params {
 		pt, ok := p.Type.(*clc.PointerType)
 		if !ok {
@@ -40,138 +40,168 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 			if !args[i].IsPointer() {
 				return nil, fmt.Errorf("interp: kernel %q parameter %d (__local) needs a buffer template", name, i)
 			}
-			localTemplate[i] = args[i].Ptr.Buf.Len()
+			localArgs = append(localArgs, i)
 		} else if !args[i].IsPointer() {
 			return nil, fmt.Errorf("interp: kernel %q parameter %d needs a buffer argument", name, i)
 		}
 	}
 
-	prof := &Profile{}
-	budget := cfg.MaxSteps
-	ngrp := [3]int64{
-		int64(cfg.GlobalSize[0] / cfg.LocalSize[0]),
-		int64(cfg.GlobalSize[1] / cfg.LocalSize[1]),
-		int64(cfg.GlobalSize[2] / cfg.LocalSize[2]),
+	l := &launch{
+		kernel: env.funcs[name],
+		prof:   &Profile{},
+		budget: cfg.MaxSteps,
+		args:   append([]Value(nil), args...),
+		locals: make([]*Pointer, env.nLocals),
+	}
+	for d := 0; d < 3; d++ {
+		l.gsize[d] = int64(cfg.GlobalSize[d])
+		l.lsize[d] = int64(cfg.LocalSize[d])
+		l.ngrp[d] = l.gsize[d] / l.lsize[d]
 	}
 	lockstep := env.usesBarrier[name]
-
-	for gz := int64(0); gz < ngrp[2]; gz++ {
-		for gy := int64(0); gy < ngrp[1]; gy++ {
-			for gx := int64(0); gx < ngrp[0]; gx++ {
-				groupArgs := make([]Value, len(args))
-				copy(groupArgs, args)
-				for i, slots := range localTemplate {
-					buf := NewBuffer(args[i].Ptr.Buf.Kind, slots, clc.Local)
-					groupArgs[i] = PtrValue(&Pointer{Buf: buf, Off: 0, Elem: args[i].Ptr.Elem})
+	defer l.stop()
+	for gz := int64(0); gz < l.ngrp[2]; gz++ {
+		for gy := int64(0); gy < l.ngrp[1]; gy++ {
+			for gx := int64(0); gx < l.ngrp[0]; gx++ {
+				for _, i := range localArgs {
+					t := args[i].Ptr
+					buf := NewBuffer(t.Buf.Kind, t.Buf.Len(), clc.Local)
+					l.args[i] = PtrValue(&Pointer{Buf: buf, Elem: t.Elem})
 				}
+				clear(l.locals)
 				grp := [3]int64{gx, gy, gz}
-				var err error
 				if lockstep {
-					err = env.runGroupLockstep(fd, groupArgs, grp, ngrp, &cfg, prof, &budget)
+					err = l.runGroupLockstep(grp)
 				} else {
-					err = env.runGroupSequential(fd, groupArgs, grp, ngrp, &cfg, prof, &budget)
+					err = l.runGroupSequential(grp)
 				}
 				if err != nil {
-					return prof, err
+					l.prof.Steps = cfg.MaxSteps - l.budget
+					return l.prof, err
 				}
 			}
 		}
 	}
-	return prof, nil
+	l.prof.Steps = cfg.MaxSteps - l.budget
+	return l.prof, nil
+}
+
+// launch is the state of one NDRange launch shared by its work-items.
+type launch struct {
+	kernel             *function
+	prof               *Profile
+	budget             int64
+	args               []Value    // the current group's arguments
+	locals             []*Pointer // the current group's __local arrays
+	gsize, lsize, ngrp [3]int64
+	seq                *wiCtx      // the sequential path's one context
+	items              []*wiHandle // the lockstep path's work-items
+	cancel             bool        // a lockstep work-item of the group failed
+}
+
+// bind points c at work-item lid of group grp.
+func (l *launch) bind(c *wiCtx, grp, lid [3]int64) {
+	c.prof, c.budget, c.locals = l.prof, &l.budget, l.locals
+	c.ids = [6][3]int64{{}, lid, grp, l.gsize, l.lsize, l.ngrp}
+	for d := 0; d < 3; d++ {
+		c.ids[0][d] = grp[d]*l.lsize[d] + lid[d]
+	}
 }
 
 // localIter invokes fn for every local id of a group, x-fastest.
-func localIter(cfg *RunConfig, fn func(lid [3]int64) error) error {
-	for lz := int64(0); lz < int64(cfg.LocalSize[2]); lz++ {
-		for ly := int64(0); ly < int64(cfg.LocalSize[1]); ly++ {
-			for lx := int64(0); lx < int64(cfg.LocalSize[0]); lx++ {
-				if err := fn([3]int64{lx, ly, lz}); err != nil {
-					return err
-				}
+func (l *launch) localIter(fn func(lid [3]int64)) {
+	for lz := int64(0); lz < l.lsize[2]; lz++ {
+		for ly := int64(0); ly < l.lsize[1]; ly++ {
+			for lx := int64(0); lx < l.lsize[0]; lx++ {
+				fn([3]int64{lx, ly, lz})
 			}
 		}
 	}
-	return nil
 }
 
-func newWICtx(env *Env, grp, lid, ngrp [3]int64, cfg *RunConfig, prof *Profile, budget *int64) *wiCtx {
-	c := &wiCtx{
-		env:    env,
-		lid:    lid,
-		grp:    grp,
-		ngrp:   ngrp,
-		prof:   prof,
-		budget: budget,
+func (l *launch) runGroupSequential(grp [3]int64) error {
+	if l.seq == nil {
+		l.seq = &wiCtx{}
 	}
-	for d := 0; d < 3; d++ {
-		c.gsize[d] = int64(cfg.GlobalSize[d])
-		c.lsize[d] = int64(cfg.LocalSize[d])
-		c.gid[d] = grp[d]*c.lsize[d] + lid[d]
-	}
-	return c
-}
-
-func (env *Env) runGroupSequential(fd *clc.FuncDecl, args []Value, grp, ngrp [3]int64, cfg *RunConfig, prof *Profile, budget *int64) error {
-	groupLocals := map[*clc.VarDecl]*slot{}
-	return localIter(cfg, func(lid [3]int64) error {
-		c := newWICtx(env, grp, lid, ngrp, cfg, prof, budget)
-		c.groupLocals = groupLocals
-		prof.WorkItems++
-		_, err := c.runFunction(fd, args)
-		return err
+	c := l.seq
+	var err error
+	l.localIter(func(lid [3]int64) {
+		if err != nil {
+			return
+		}
+		l.bind(c, grp, lid)
+		l.prof.WorkItems++
+		_, err = c.call(l.kernel, l.args)
 	})
+	return err
 }
 
 // lockstep execution: one goroutine per work-item of the group, resumed in
-// local-id order between barrier phases.
+// local-id order between barrier phases. The goroutines serve every group
+// of the launch in turn, keeping their grown stacks, until stop.
 type wiReport struct {
 	barrier bool
 	err     error
 }
 
 type wiHandle struct {
+	c      wiCtx
 	resume chan struct{}
 	report chan wiReport
 	done   bool
 }
 
-func (env *Env) runGroupLockstep(fd *clc.FuncDecl, args []Value, grp, ngrp [3]int64, cfg *RunConfig, prof *Profile, budget *int64) error {
-	n := cfg.LocalSize[0] * cfg.LocalSize[1] * cfg.LocalSize[2]
-	items := make([]*wiHandle, 0, n)
-	cancel := false
-	groupLocals := map[*clc.VarDecl]*slot{}
-
-	_ = localIter(cfg, func(lid [3]int64) error {
-		h := &wiHandle{resume: make(chan struct{}), report: make(chan wiReport)}
-		items = append(items, h)
-		c := newWICtx(env, grp, lid, ngrp, cfg, prof, budget)
-		c.cancel = &cancel
-		c.groupLocals = groupLocals
-		c.yield = func() error {
-			h.report <- wiReport{barrier: true}
-			<-h.resume
-			if cancel {
-				return errCancelled
-			}
-			return nil
+// startWorkItem starts a goroutine that runs the kernel for one
+// work-item each time it is resumed at the start of a group.
+func (l *launch) startWorkItem() *wiHandle {
+	h := &wiHandle{resume: make(chan struct{}), report: make(chan wiReport)}
+	h.c.cancel = &l.cancel
+	h.c.yield = func() error {
+		h.report <- wiReport{barrier: true}
+		<-h.resume
+		if l.cancel {
+			return errCancelled
 		}
-		prof.WorkItems++
-		go func() {
-			<-h.resume
+		return nil
+	}
+	go func() {
+		for range h.resume {
 			var err error
-			if !cancel {
-				_, err = c.runFunction(fd, args)
+			if !l.cancel {
+				_, err = h.c.call(l.kernel, l.args)
 			}
 			h.report <- wiReport{err: err}
-		}()
-		return nil
+		}
+	}()
+	return h
+}
+
+// stop ends the lockstep goroutines, all idle between groups.
+func (l *launch) stop() {
+	for _, h := range l.items {
+		close(h.resume)
+	}
+}
+
+func (l *launch) runGroupLockstep(grp [3]int64) error {
+	l.cancel = false
+	n := 0
+	l.localIter(func(lid [3]int64) {
+		if n == len(l.items) {
+			l.items = append(l.items, l.startWorkItem())
+		}
+		h := l.items[n]
+		n++
+		h.done = false
+		l.bind(&h.c, grp, lid)
+		l.prof.WorkItems++
 	})
 
 	var firstErr error
-	live := len(items)
+	live := n
 	for live > 0 {
 		barriers, finished := 0, 0
-		for _, h := range items {
+		for _, h := range l.items[:n] {
 			if h.done {
 				continue
 			}
@@ -179,7 +209,7 @@ func (env *Env) runGroupLockstep(fd *clc.FuncDecl, args []Value, grp, ngrp [3]in
 			r := <-h.report
 			if r.err != nil && r.err != errCancelled && firstErr == nil {
 				firstErr = r.err
-				cancel = true
+				l.cancel = true
 			}
 			if r.barrier {
 				barriers++
@@ -191,7 +221,7 @@ func (env *Env) runGroupLockstep(fd *clc.FuncDecl, args []Value, grp, ngrp [3]in
 		}
 		if firstErr == nil && barriers > 0 && finished > 0 {
 			firstErr = ErrBarrierDivergence
-			cancel = true
+			l.cancel = true
 		}
 	}
 	return firstErr

@@ -9,6 +9,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"clgen/internal/clc"
 )
@@ -17,18 +18,78 @@ import (
 const MaxLanes = 16
 
 // Value is a runtime value: a scalar, a vector of up to 16 lanes, or a
-// pointer. Integer kinds keep exact 64-bit payloads in I; float kinds use
-// F. Both arrays are fixed-size so Values are allocation-free.
+// pointer. Every lane has an integer and a floating-point view; integer
+// kinds keep exact 64-bit payloads in the first, float kinds use the
+// second. Lane 0 is held inline, so a scalar is six machine words that
+// travel in registers. A vector's lanes live in an out-of-line array that
+// is never written after the Value is built, so copies may share it.
 type Value struct {
 	Kind  clc.ScalarKind
 	Width int // 1 for scalars, 2/3/4/8/16 for vectors, 0 for pointers
 	Ptr   *Pointer
-	I     [MaxLanes]int64
-	F     [MaxLanes]float64
+	i     int64
+	f     float64
+	lanes *lane // lanes 0..Width-1 when Width > 1
+}
+
+// lane is one vector element in both views.
+type lane struct {
+	i int64
+	f float64
+}
+
+// scalar builds a one-lane value from its two views.
+func scalar(kind clc.ScalarKind, i int64, f float64) Value {
+	return Value{Kind: kind, Width: 1, i: i, f: f}
+}
+
+// vector builds a value of width len(ls) from freshly made lanes, which
+// the caller must not write afterwards.
+func vector(kind clc.ScalarKind, ls []lane) Value {
+	v := Value{Kind: kind, Width: len(ls)}
+	if len(ls) > 0 {
+		v.i, v.f = ls[0].i, ls[0].f
+	}
+	if len(ls) > 1 {
+		v.lanes = &ls[0]
+	}
+	return v
+}
+
+// makeValue builds a value of kind and width w lane by lane.
+func makeValue(kind clc.ScalarKind, w int, at func(l int) lane) Value {
+	if w < 1 {
+		return Value{Kind: kind, Width: w}
+	}
+	if w == 1 {
+		l := at(0)
+		return scalar(kind, l.i, l.f)
+	}
+	ls := make([]lane, w)
+	for l := range ls {
+		ls[l] = at(l)
+	}
+	return vector(kind, ls)
+}
+
+// lane returns lane l in both views; lanes past the width read as zero,
+// and so do all lanes of a vector without a lane array (a zero vector).
+func (v Value) lane(l int) lane {
+	if v.lanes != nil {
+		if l < v.Width {
+			return unsafe.Slice(v.lanes, v.Width)[l]
+		}
+		return lane{}
+	}
+	if l == 0 {
+		return lane{v.i, v.f}
+	}
+	return lane{}
 }
 
 // Pointer references a span of a Buffer. Off is measured in scalar slots of
 // the buffer, so pointer casts that reinterpret granularity stay coherent.
+// Pointers are never modified once made, so values may share them.
 type Pointer struct {
 	Buf  *Buffer
 	Off  int64    // scalar-slot offset
@@ -136,7 +197,7 @@ func (e *MemFault) Error() string {
 	return fmt.Sprintf("out-of-bounds %s at slot %d of %d", op, e.Slot, e.Len)
 }
 
-// loadScalar reads one scalar slot as a float64/int64 pair in kind k.
+// loadScalar reads one scalar slot as an int64/float64 pair.
 func (b *Buffer) loadScalar(off int64) (int64, float64, error) {
 	if off < 0 || off >= int64(b.Len()) {
 		return 0, 0, &MemFault{Arg: b.Arg, Slot: off, Len: b.Len()}
@@ -171,21 +232,16 @@ func (b *Buffer) storeScalar(off int64, i int64, f float64) error {
 
 // IntValue returns a scalar integer value of the given kind.
 func IntValue(kind clc.ScalarKind, v int64) Value {
-	val := Value{Kind: kind, Width: 1}
-	val.I[0] = truncInt(kind, v)
-	val.F[0] = float64(val.I[0])
-	return val
+	i := truncInt(kind, v)
+	return scalar(kind, i, float64(i))
 }
 
 // FloatValue returns a scalar float value of the given kind.
 func FloatValue(kind clc.ScalarKind, v float64) Value {
-	val := Value{Kind: kind, Width: 1}
 	if kind == clc.Float || kind == clc.Half {
 		v = float64(float32(v))
 	}
-	val.F[0] = v
-	val.I[0] = int64(clampToInt64(v))
-	return val
+	return scalar(kind, int64(clampToInt64(v)), v)
 }
 
 // PtrValue returns a pointer value.
@@ -193,24 +249,17 @@ func PtrValue(p *Pointer) Value { return Value{Ptr: p} }
 
 // VecValue builds a vector value of the given element kind from lanes.
 func VecValue(kind clc.ScalarKind, lanes []Value) Value {
-	v := Value{Kind: kind, Width: len(lanes)}
+	ls := make([]lane, len(lanes))
 	for i, l := range lanes {
-		s := ConvertScalar(l, kind)
-		v.I[i] = s.I[0]
-		v.F[i] = s.F[0]
+		ls[i] = convertLane(l.lane(0), l, kind)
 	}
-	return v
+	return vector(kind, ls)
 }
 
 // Splat replicates a scalar across w lanes.
 func Splat(s Value, kind clc.ScalarKind, w int) Value {
-	c := ConvertScalar(s, kind)
-	v := Value{Kind: kind, Width: w}
-	for i := 0; i < w; i++ {
-		v.I[i] = c.I[0]
-		v.F[i] = c.F[0]
-	}
-	return v
+	c := convertLane(s.lane(0), s, kind)
+	return makeValue(kind, w, func(int) lane { return c })
 }
 
 // IsPointer reports whether v is a pointer value.
@@ -218,10 +267,8 @@ func (v Value) IsPointer() bool { return v.Ptr != nil }
 
 // Lane returns lane i as a scalar value.
 func (v Value) Lane(i int) Value {
-	s := Value{Kind: v.Kind, Width: 1}
-	s.I[0] = v.I[i]
-	s.F[0] = v.F[i]
-	return s
+	l := v.lane(i)
+	return scalar(v.Kind, l.i, l.f)
 }
 
 // Bool reports the C truthiness of a scalar value.
@@ -230,25 +277,25 @@ func (v Value) Bool() bool {
 		return true
 	}
 	if v.Kind.IsFloat() {
-		return v.F[0] != 0
+		return v.f != 0
 	}
-	return v.I[0] != 0
+	return v.i != 0
 }
 
 // Int returns the integer interpretation of lane 0.
 func (v Value) Int() int64 {
 	if v.Kind.IsFloat() {
-		return int64(clampToInt64(v.F[0]))
+		return int64(clampToInt64(v.f))
 	}
-	return v.I[0]
+	return v.i
 }
 
 // Float returns the floating-point interpretation of lane 0.
 func (v Value) Float() float64 {
 	if v.Kind.IsFloat() {
-		return v.F[0]
+		return v.f
 	}
-	return float64(v.I[0])
+	return float64(v.i)
 }
 
 // String renders the value for diagnostics.
@@ -258,19 +305,19 @@ func (v Value) String() string {
 	}
 	if v.Width <= 1 {
 		if v.Kind.IsFloat() {
-			return fmt.Sprintf("%g", v.F[0])
+			return fmt.Sprintf("%g", v.f)
 		}
-		return fmt.Sprintf("%d", v.I[0])
+		return fmt.Sprintf("%d", v.i)
 	}
 	s := fmt.Sprintf("%s%d(", v.Kind, v.Width)
 	for i := 0; i < v.Width; i++ {
 		if i > 0 {
 			s += ", "
 		}
-		if v.Kind.IsFloat() {
-			s += fmt.Sprintf("%g", v.F[i])
+		if l := v.lane(i); v.Kind.IsFloat() {
+			s += fmt.Sprintf("%g", l.f)
 		} else {
-			s += fmt.Sprintf("%d", v.I[i])
+			s += fmt.Sprintf("%d", l.i)
 		}
 	}
 	return s + ")"
@@ -297,12 +344,8 @@ func truncInt(kind clc.ScalarKind, v int64) int64 {
 		return int64(int32(v))
 	case clc.UInt:
 		return int64(uint32(v))
-	case clc.Long:
-		return v
-	case clc.ULong:
-		return v // kept as the raw 64-bit pattern
 	}
-	return v
+	return v // long, ulong (kept as the raw 64-bit pattern)
 }
 
 func clampToInt64(f float64) float64 {
@@ -318,19 +361,32 @@ func clampToInt64(f float64) float64 {
 	return f
 }
 
+// convertLane converts one lane of a value of v's kind (v.Ptr included) to
+// the given scalar kind.
+func convertLane(l lane, v Value, kind clc.ScalarKind) lane {
+	var s Value
+	switch {
+	case v.Ptr != nil:
+		// Pointer-to-integer conversion: use the offset as the address.
+		s = IntValue(kind, v.Ptr.Off)
+	case kind.IsFloat():
+		f := l.f
+		if !v.Kind.IsFloat() {
+			f = float64(l.i)
+		}
+		s = FloatValue(kind, f)
+	case v.Kind.IsFloat():
+		s = IntValue(kind, int64(clampToInt64(l.f)))
+	default:
+		s = IntValue(kind, l.i)
+	}
+	return lane{s.i, s.f}
+}
+
 // ConvertScalar converts lane 0 of v to the given scalar kind.
 func ConvertScalar(v Value, kind clc.ScalarKind) Value {
-	if v.Ptr != nil {
-		// Pointer-to-integer conversion: use the offset as the address.
-		return IntValue(kind, v.Ptr.Off)
-	}
-	if kind.IsFloat() {
-		return FloatValue(kind, v.Float())
-	}
-	if v.Kind.IsFloat() {
-		return IntValue(kind, int64(clampToInt64(v.F[0])))
-	}
-	return IntValue(kind, v.I[0])
+	l := convertLane(lane{v.i, v.f}, v, kind)
+	return scalar(kind, l.i, l.f)
 }
 
 // Convert converts v to an arbitrary scalar or vector type, applying
@@ -339,10 +395,7 @@ func ConvertScalar(v Value, kind clc.ScalarKind) Value {
 func Convert(v Value, t clc.Type) (Value, error) {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
-		if v.Width > 1 {
-			// Vector narrowed to scalar: take lane 0 (used by casts only).
-			return ConvertScalar(v.Lane(0), tt.Kind), nil
-		}
+		// A vector narrowed to a scalar keeps lane 0 (used by casts only).
 		return ConvertScalar(v, tt.Kind), nil
 	case *clc.VectorType:
 		if v.Width <= 1 {
@@ -351,13 +404,7 @@ func Convert(v Value, t clc.Type) (Value, error) {
 		if v.Width != tt.Len {
 			return Value{}, fmt.Errorf("cannot convert %d-wide vector to %s", v.Width, t)
 		}
-		out := Value{Kind: tt.Elem, Width: tt.Len}
-		for i := 0; i < tt.Len; i++ {
-			s := ConvertScalar(v.Lane(i), tt.Elem)
-			out.I[i] = s.I[0]
-			out.F[i] = s.F[0]
-		}
-		return out, nil
+		return makeValue(tt.Elem, tt.Len, func(l int) lane { return convertLane(v.lane(l), v, tt.Elem) }), nil
 	case *clc.PointerType:
 		if v.Ptr != nil {
 			// Pointer cast: reinterpret the pointee type.
@@ -375,14 +422,9 @@ func Convert(v Value, t clc.Type) (Value, error) {
 func ZeroValue(t clc.Type) Value {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
-		if tt.Kind.IsFloat() {
-			return FloatValue(tt.Kind, 0)
-		}
-		return IntValue(tt.Kind, 0)
+		return scalar(tt.Kind, 0, 0)
 	case *clc.VectorType:
 		return Value{Kind: tt.Elem, Width: tt.Len}
-	case *clc.PointerType:
-		return Value{}
 	}
 	return Value{}
 }
@@ -390,14 +432,10 @@ func ZeroValue(t clc.Type) Value {
 // scalarSlots returns how many scalar slots a type occupies in a buffer.
 func scalarSlots(t clc.Type) int64 {
 	switch tt := t.(type) {
-	case *clc.ScalarType:
-		return 1
 	case *clc.VectorType:
 		return int64(tt.Len)
 	case *clc.ArrayType:
 		return int64(tt.Len) * scalarSlots(tt.Elem)
-	case *clc.PointerType:
-		return 1
 	case *clc.StructType:
 		var n int64
 		for _, f := range tt.Fields {
@@ -408,11 +446,11 @@ func scalarSlots(t clc.Type) int64 {
 	return 1
 }
 
-// LoadFrom reads a value of type t from p.
-func LoadFrom(p *Pointer, t clc.Type) (Value, error) {
+// load reads a value of type t at slot off of b.
+func load(b *Buffer, off int64, t clc.Type) (Value, error) {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
-		i, f, err := p.Buf.loadScalar(p.Off)
+		i, f, err := b.loadScalar(off)
 		if err != nil {
 			return Value{}, err
 		}
@@ -421,37 +459,35 @@ func LoadFrom(p *Pointer, t clc.Type) (Value, error) {
 		}
 		return IntValue(tt.Kind, i), nil
 	case *clc.VectorType:
-		v := Value{Kind: tt.Elem, Width: tt.Len}
-		for l := 0; l < tt.Len; l++ {
-			i, f, err := p.Buf.loadScalar(p.Off + int64(l))
+		ls := make([]lane, tt.Len)
+		src := Value{Kind: b.Kind, Width: 1}
+		for l := range ls {
+			i, f, err := b.loadScalar(off + int64(l))
 			if err != nil {
 				return Value{}, err
 			}
-			s := Value{Kind: p.Buf.Kind, Width: 1}
-			s.I[0], s.F[0] = i, f
-			c := ConvertScalar(s, tt.Elem)
-			v.I[l], v.F[l] = c.I[0], c.F[0]
+			ls[l] = convertLane(lane{i, f}, src, tt.Elem)
 		}
-		return v, nil
+		return vector(tt.Elem, ls), nil
 	}
 	return Value{}, fmt.Errorf("cannot load %s from memory", t)
 }
 
-// StoreTo writes v (of type t) through p.
-func StoreTo(p *Pointer, v Value, t clc.Type) error {
+// store writes v (of type t) at slot off of b.
+func store(b *Buffer, off int64, v Value, t clc.Type) error {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
 		c := ConvertScalar(v, tt.Kind)
-		cb := ConvertScalar(c, p.Buf.Kind)
-		return p.Buf.storeScalar(p.Off, cb.I[0], cb.F[0])
+		l := convertLane(lane{c.i, c.f}, c, b.Kind)
+		return b.storeScalar(off, l.i, l.f)
 	case *clc.VectorType:
 		cv, err := Convert(v, tt)
 		if err != nil {
 			return err
 		}
 		for l := 0; l < tt.Len; l++ {
-			cb := ConvertScalar(cv.Lane(l), p.Buf.Kind)
-			if err := p.Buf.storeScalar(p.Off+int64(l), cb.I[0], cb.F[0]); err != nil {
+			c := convertLane(cv.lane(l), cv, b.Kind)
+			if err := b.storeScalar(off+int64(l), c.i, c.f); err != nil {
 				return err
 			}
 		}

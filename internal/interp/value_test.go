@@ -26,19 +26,19 @@ func TestIntValueTruncation(t *testing.T) {
 	}
 	for _, c := range cases {
 		v := IntValue(c.kind, c.in)
-		if v.I[0] != c.want {
-			t.Errorf("IntValue(%v, %d) = %d, want %d", c.kind, c.in, v.I[0], c.want)
+		if v.Int() != c.want {
+			t.Errorf("IntValue(%v, %d) = %d, want %d", c.kind, c.in, v.Int(), c.want)
 		}
 	}
 }
 
 func TestFloatValueSinglePrecision(t *testing.T) {
 	v := FloatValue(clc.Float, 1.0/3.0)
-	if v.F[0] != float64(float32(1.0/3.0)) {
+	if v.Float() != float64(float32(1.0/3.0)) {
 		t.Error("float kind not rounded to single precision")
 	}
 	d := FloatValue(clc.Double, 1.0/3.0)
-	if d.F[0] != 1.0/3.0 {
+	if d.Float() != 1.0/3.0 {
 		t.Error("double kind rounded")
 	}
 }
@@ -62,7 +62,7 @@ func TestConvertScalarToVectorSplat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Width != 8 || v.F[7] != 7 {
+	if v.Width != 8 || v.Lane(7).Float() != 7 {
 		t.Errorf("splat conversion: %v", v)
 	}
 	// Width mismatch is an error.
@@ -142,7 +142,7 @@ func TestBinaryOpPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Width != 4 || v.F[2] != 6 {
+	if v.Width != 4 || v.Lane(2).Float() != 6 {
 		t.Errorf("3 * (2,2,2,2) = %v", v)
 	}
 }
@@ -155,8 +155,8 @@ func TestUnsignedSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if div.I[0] != 2147483647 {
-		t.Errorf("uint div = %d", div.I[0])
+	if div.Int() != 2147483647 {
+		t.Errorf("uint div = %d", div.Int())
 	}
 	cmp, err := binaryOp(clc.GT, a, b)
 	if err != nil {
@@ -177,8 +177,8 @@ func TestShiftMasking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.I[0] != 2 { // 65 & 63 == 1
-		t.Errorf("1 << 65 = %d, want 2 (shift count masked)", v.I[0])
+	if v.Int() != 2 { // 65 & 63 == 1
+		t.Errorf("1 << 65 = %d, want 2 (shift count masked)", v.Int())
 	}
 }
 
@@ -214,11 +214,11 @@ func TestPointerArithmetic(t *testing.T) {
 func TestDivByZeroDeterministic(t *testing.T) {
 	err := quick.Check(func(a int32) bool {
 		v, err := binaryOp(clc.DIV, IntValue(clc.Int, int64(a)), IntValue(clc.Int, 0))
-		if err != nil || v.I[0] != 0 {
+		if err != nil || v.Int() != 0 {
 			return false
 		}
 		r, err := binaryOp(clc.REM, IntValue(clc.Int, int64(a)), IntValue(clc.Int, 0))
-		return err == nil && r.I[0] == 0
+		return err == nil && r.Int() == 0
 	}, nil)
 	if err != nil {
 		t.Error(err)
@@ -240,8 +240,8 @@ func TestUnaryOps(t *testing.T) {
 	if v, _ := unaryOp(clc.NOT, IntValue(clc.Int, 0)); !v.Bool() {
 		t.Error("!0 should be true")
 	}
-	if v, _ := unaryOp(clc.BNOT, IntValue(clc.Int, 0)); v.I[0] != -1 {
-		t.Errorf("~0 = %d", v.I[0])
+	if v, _ := unaryOp(clc.BNOT, IntValue(clc.Int, 0)); v.Int() != -1 {
+		t.Errorf("~0 = %d", v.Int())
 	}
 	if _, err := unaryOp(clc.BNOT, FloatValue(clc.Float, 1)); err == nil {
 		t.Error("~float accepted")
