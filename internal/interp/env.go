@@ -99,8 +99,10 @@ func NewEnv(f *clc.File) (*Env, error) {
 		usesBarrier: map[string]bool{},
 	}
 	for _, fd := range f.Functions() {
-		if fd.Body != nil {
-			env.funcs[fd.Name] = &function{decl: fd} // a later definition wins
+		// The first definition of a name wins, as in clc.File.Function,
+		// which the driver and the static analyses resolve through.
+		if _, dup := env.funcs[fd.Name]; fd.Body != nil && !dup {
+			env.funcs[fd.Name] = &function{decl: fd}
 		}
 	}
 	for _, d := range f.Decls {

@@ -736,3 +736,24 @@ func TestWideBraceInitializerIsAnError(t *testing.T) {
 		t.Fatal("17-element brace initializer ran without error")
 	}
 }
+
+// TestFirstDefinitionWins pins which of two same-named definitions runs:
+// the first, the one clc.File.Function and the driver resolve.
+func TestFirstDefinitionWins(t *testing.T) {
+	env := buildEnv(t, `__kernel void A(__global int* a) { a[0] = 1; }
+__kernel void A(__global int* a, __global int* b) { a[0] = 2; b[0] = 2; }`)
+	fd, err := env.Kernel("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fd.Params) != 1 {
+		t.Fatalf("Kernel(A) has %d parameters, want the first definition's 1", len(fd.Params))
+	}
+	a := intBuf([]int64{0})
+	if _, err := env.Run("A", []Value{ptrArg(a, clc.TypeInt)}, RunConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if a.I[0] != 1 {
+		t.Errorf("a[0] = %d, want 1 from the first definition", a.I[0])
+	}
+}
