@@ -2,10 +2,12 @@ package driver
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
 	"clgen/internal/cache"
+	"clgen/internal/interp"
 	"clgen/internal/journal"
 	"clgen/internal/platform"
 	"clgen/internal/telemetry"
@@ -108,5 +110,64 @@ func TestMeasureStableUnderMemoization(t *testing.T) {
 		if !reflect.DeepEqual(runs[0], runs[i]) {
 			t.Errorf("measurement %d differs from the first:\n%+v\nvs\n%+v", i, runs[0], runs[i])
 		}
+	}
+}
+
+// TestCheckFailureClassSurvivesMemo: a run failure's Err unwraps to the
+// interpreter error of its class (errors.Is / errors.As) whether the check
+// executed or the persistent memo served it, with the same text; Steps,
+// the budget its executions consumed, is the same both ways and is what
+// the checked journal event carries.
+func TestCheckFailureClassSurvivesMemo(t *testing.T) {
+	if err := cache.SetDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.SetDir("") })
+	cache.FlushMemory()
+
+	const maxSteps = 1 << 14
+	var mf *interp.MemFault
+	for _, tc := range []struct {
+		name, src string
+		class     func(error) bool
+	}{
+		{"step limit", `__kernel void A(__global int* a) { while (1) { a[0] = 1; } }`,
+			func(err error) bool { return errors.Is(err, interp.ErrStepLimit) }},
+		{"fault", `__kernel void A(__global int* a) { a[get_global_id(0) + 100000] = 1; }`,
+			func(err error) bool { return errors.As(err, &mf) && mf.Write && mf.Arg == 0 }},
+		{"barrier divergence", `__kernel void A(__global int* a) {
+  if (get_local_id(0) == 0) { barrier(CLK_LOCAL_MEM_FENCE); }
+  a[get_global_id(0)] = 1;
+}`, func(err error) bool { return errors.Is(err, interp.ErrBarrierDivergence) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, err := Load(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cold, warm CheckResult
+			events := captureJournal(t, func() { cold = Check(k, 64, 1, RunConfig{MaxSteps: maxSteps}) })
+			cache.FlushMemory() // only the persistent tier stays warm
+			events = append(events, captureJournal(t, func() { warm = Check(k, 64, 1, RunConfig{MaxSteps: maxSteps}) })...)
+			if cold.CacheHit || !warm.CacheHit {
+				t.Fatalf("cache hits: cold %v, warm %v", cold.CacheHit, warm.CacheHit)
+			}
+			for _, res := range []CheckResult{cold, warm} {
+				if res.Verdict != RunFailure || !tc.class(res.Err) {
+					t.Errorf("verdict %q, err %v (%T): wrong class", res.Verdict, res.Err, res.Err)
+				}
+			}
+			if cold.Err.Error() != warm.Err.Error() || cold.Steps != warm.Steps || cold.Steps <= 0 {
+				t.Errorf("cold %q after %d steps, warm %q after %d", cold.Err, cold.Steps, warm.Err, warm.Steps)
+			}
+			if tc.name == "step limit" && cold.Steps != maxSteps+1 {
+				t.Errorf("steps = %d, want %d", cold.Steps, maxSteps+1)
+			}
+			for _, ev := range events {
+				if ev.Stage == journal.StageChecked && ev.Steps != cold.Steps {
+					t.Errorf("checked event steps = %d, want %d", ev.Steps, cold.Steps)
+				}
+			}
+		})
 	}
 }

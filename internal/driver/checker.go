@@ -36,6 +36,9 @@ type CheckResult struct {
 	// verdicts and failures that are not memory faults).
 	Fault   *interp.MemFault
 	Profile *interp.Profile
+	// Steps is the interpreter budget the check's executions consumed,
+	// the failing one included (the sum of their Profile.Steps).
+	Steps int64
 	// TransferBytes / LocalSize describe the A1 payload of a useful-work
 	// verdict (zero otherwise) — the two payload quantities measurement
 	// consumes. The payload itself is not retained: check outcomes are
@@ -94,8 +97,8 @@ func Check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 	// stay equivalent after order normalization.
 	if journal.Enabled() {
 		ev := journal.Event{ID: journal.ID(k.Src), Stage: journal.StageChecked,
-			Verdict: string(res.Verdict), Size: globalSize, Seed: seed, CacheHit: res.CacheHit,
-			DurMS: float64(time.Since(start)) / float64(time.Millisecond)}
+			Verdict: string(res.Verdict), Size: globalSize, Seed: seed, Steps: res.Steps,
+			CacheHit: res.CacheHit, DurMS: float64(time.Since(start)) / float64(time.Millisecond)}
 		if res.Fault != nil {
 			ev.Fault = &journal.Fault{Arg: res.Fault.Arg, Slot: res.Fault.Slot,
 				Len: res.Fault.Len, Write: res.Fault.Write}
@@ -165,34 +168,38 @@ func check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 		return CheckResult{Verdict: NoOutput}
 	}
 
-	profA1, err := k.Run(a1, cfg)
-	if err != nil {
-		return runFailure(err)
-	}
-	if _, err := k.Run(b1, cfg); err != nil {
-		return runFailure(err)
-	}
-	if _, err := k.Run(a2, cfg); err != nil {
-		return runFailure(err)
-	}
-	if _, err := k.Run(b2, cfg); err != nil {
-		return runFailure(err)
+	var profA1 *interp.Profile
+	var steps int64
+	for i, p := range []*Payload{a1, b1, a2, b2} {
+		prof, err := k.Run(p, cfg)
+		if prof != nil {
+			steps += prof.Steps
+		}
+		if err != nil {
+			res := runFailure(err)
+			res.Steps = steps
+			return res
+		}
+		if i == 0 {
+			profA1 = prof
+		}
 	}
 
-	// A1out != A1in and B1out != B1in, else no output for these inputs.
-	if outputsEqual(a1, a1Pre) && outputsEqual(b1, b1Pre) {
-		return CheckResult{Verdict: NoOutput, Profile: profA1}
+	res := CheckResult{Verdict: UsefulWork, Profile: profA1, Steps: steps}
+	switch {
+	case outputsEqual(a1, a1Pre) && outputsEqual(b1, b1Pre):
+		// A1out != A1in and B1out != B1in, else no output for these inputs.
+		res.Verdict = NoOutput
+	case outputsEqual(a1, b1):
+		// A1out != B1out, else input-insensitive.
+		res.Verdict = InputInsensitive
+	case !outputsEqual(a1, a2) || !outputsEqual(b1, b2):
+		// A1out == A2out and B1out == B2out, else non-deterministic.
+		res.Verdict = NonDeterministic
+	default:
+		res.TransferBytes, res.LocalSize = a1.TransferBytes, a1.LocalSize
 	}
-	// A1out != B1out, else input-insensitive.
-	if outputsEqual(a1, b1) {
-		return CheckResult{Verdict: InputInsensitive, Profile: profA1}
-	}
-	// A1out == A2out and B1out == B2out, else non-deterministic.
-	if !outputsEqual(a1, a2) || !outputsEqual(b1, b2) {
-		return CheckResult{Verdict: NonDeterministic, Profile: profA1}
-	}
-	return CheckResult{Verdict: UsefulWork, Profile: profA1,
-		TransferBytes: a1.TransferBytes, LocalSize: a1.LocalSize}
+	return res
 }
 
 // runFailure builds a RunFailure result, attributing memory faults to

@@ -210,6 +210,10 @@ type Event struct {
 	Size int `json:"size,omitempty"`
 	// Seed is the payload seed of a checked stage.
 	Seed int64 `json:"seed,omitempty"`
+	// Steps is the interpreter budget a checked stage's executions
+	// consumed, the failing one included (0 for a verdict reached without
+	// executing).
+	Steps int64 `json:"steps,omitempty"`
 	// CPUms / GPUms are modeled device runtimes of a measured stage.
 	CPUms float64 `json:"cpu_ms,omitempty"`
 	GPUms float64 `json:"gpu_ms,omitempty"`
