@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"clgen/internal/clc"
@@ -16,11 +15,15 @@ var queries = [...]string{"get_global_id", "get_local_id", "get_group_id",
 
 const globalSize = 3 // queries index of get_global_size
 
-// call compiles a call. User functions take precedence over builtins of
-// the same name; both resolve here, once.
+// call compiles a call that is not statically kinded (callLane compiles
+// the others). User functions take precedence over builtins of the same
+// name; both resolve here, once.
 func (cp *compiler) call(x *clc.CallExpr) evalFn {
 	args := cp.exprs(x.Args)
 	if f, ok := cp.env.funcs[x.Fun]; ok {
+		if !cp.typed {
+			return withArgs(args, func(c *wiCtx, vals []Value) (Value, error) { return c.call(f.plain(), vals) })
+		}
 		return withArgs(args, func(c *wiCtx, vals []Value) (Value, error) { return c.call(f, vals) })
 	}
 	name := x.Fun
@@ -33,34 +36,7 @@ func (cp *compiler) call(x *clc.CallExpr) evalFn {
 		}
 		return nil
 	}
-	if q := slices.Index(queries[:], name); q >= 0 || name == "get_global_offset" {
-		// Work-item queries take one dimension argument.
-		return func(c *wiCtx) (Value, error) {
-			dim := 0
-			if len(args) > 0 {
-				v, err := args[0](c)
-				if err != nil {
-					return Value{}, err
-				}
-				dim = int(v.Int())
-			}
-			if dim < 0 || dim > 2 || q < 0 {
-				return IntValue(clc.ULong, 0), nil
-			}
-			return IntValue(clc.ULong, c.ids[q][dim]), nil
-		}
-	}
 	switch name {
-	case "get_work_dim":
-		return func(c *wiCtx) (Value, error) {
-			dims := int64(1)
-			for d := 1; d < 3; d++ {
-				if c.ids[globalSize][d] > 1 {
-					dims = int64(d + 1)
-				}
-			}
-			return IntValue(clc.UInt, dims), nil
-		}
 	case "barrier", "work_group_barrier", "mem_fence", "read_mem_fence", "write_mem_fence":
 		sync := name == "barrier" || name == "work_group_barrier"
 		return func(c *wiCtx) (Value, error) {
@@ -466,83 +442,95 @@ func signOf(x float64) float64 {
 
 var mathBuiltins map[string]mathFn
 
-func init() {
-	mathBuiltins = map[string]mathFn{
-		"sqrt":    laneUnary(math.Sqrt),
-		"rsqrt":   laneUnary(func(x float64) float64 { return 1 / math.Sqrt(x) }),
-		"cbrt":    laneUnary(math.Cbrt),
-		"sin":     laneUnary(math.Sin),
-		"cos":     laneUnary(math.Cos),
-		"tan":     laneUnary(math.Tan),
-		"asin":    laneUnary(math.Asin),
-		"acos":    laneUnary(math.Acos),
-		"atan":    laneUnary(math.Atan),
-		"sinh":    laneUnary(math.Sinh),
-		"cosh":    laneUnary(math.Cosh),
-		"tanh":    laneUnary(math.Tanh),
-		"asinh":   laneUnary(math.Asinh),
-		"acosh":   laneUnary(math.Acosh),
-		"atanh":   laneUnary(math.Atanh),
-		"exp":     laneUnary(math.Exp),
-		"exp2":    laneUnary(math.Exp2),
-		"exp10":   laneUnary(func(x float64) float64 { return math.Pow(10, x) }),
-		"expm1":   laneUnary(math.Expm1),
-		"log":     laneUnary(math.Log),
-		"log2":    laneUnary(math.Log2),
-		"log10":   laneUnary(math.Log10),
-		"log1p":   laneUnary(math.Log1p),
-		"fabs":    laneUnary(math.Abs),
-		"floor":   laneUnary(math.Floor),
-		"ceil":    laneUnary(math.Ceil),
-		"round":   laneUnary(math.Round),
-		"trunc":   laneUnary(math.Trunc),
-		"rint":    laneUnary(math.RoundToEven),
-		"erf":     laneUnary(math.Erf),
-		"erfc":    laneUnary(math.Erfc),
-		"tgamma":  laneUnary(math.Gamma),
-		"lgamma":  laneUnary(func(x float64) float64 { l, _ := math.Lgamma(x); return l }),
-		"sign":    laneUnary(signOf),
-		"degrees": laneUnary(func(x float64) float64 { return x * 180 / math.Pi }),
-		"radians": laneUnary(func(x float64) float64 { return x * math.Pi / 180 }),
-		"sinpi":   laneUnary(func(x float64) float64 { return math.Sin(math.Pi * x) }),
-		"cospi":   laneUnary(func(x float64) float64 { return math.Cos(math.Pi * x) }),
-		"tanpi":   laneUnary(func(x float64) float64 { return math.Tan(math.Pi * x) }),
+// mathUnary, mathBinary and mathTernary are the builtins that apply a float
+// function lane by lane; the typed compilation calls them on scalars.
+var (
+	mathUnary = map[string]func(float64) float64{
+		"sqrt":    math.Sqrt,
+		"rsqrt":   func(x float64) float64 { return 1 / math.Sqrt(x) },
+		"cbrt":    math.Cbrt,
+		"sin":     math.Sin,
+		"cos":     math.Cos,
+		"tan":     math.Tan,
+		"asin":    math.Asin,
+		"acos":    math.Acos,
+		"atan":    math.Atan,
+		"sinh":    math.Sinh,
+		"cosh":    math.Cosh,
+		"tanh":    math.Tanh,
+		"asinh":   math.Asinh,
+		"acosh":   math.Acosh,
+		"atanh":   math.Atanh,
+		"exp":     math.Exp,
+		"exp2":    math.Exp2,
+		"exp10":   func(x float64) float64 { return math.Pow(10, x) },
+		"expm1":   math.Expm1,
+		"log":     math.Log,
+		"log2":    math.Log2,
+		"log10":   math.Log10,
+		"log1p":   math.Log1p,
+		"fabs":    math.Abs,
+		"floor":   math.Floor,
+		"ceil":    math.Ceil,
+		"round":   math.Round,
+		"trunc":   math.Trunc,
+		"rint":    math.RoundToEven,
+		"erf":     math.Erf,
+		"erfc":    math.Erfc,
+		"tgamma":  math.Gamma,
+		"lgamma":  func(x float64) float64 { l, _ := math.Lgamma(x); return l },
+		"sign":    signOf,
+		"degrees": func(x float64) float64 { return x * 180 / math.Pi },
+		"radians": func(x float64) float64 { return x * math.Pi / 180 },
+		"sinpi":   func(x float64) float64 { return math.Sin(math.Pi * x) },
+		"cospi":   func(x float64) float64 { return math.Cos(math.Pi * x) },
+		"tanpi":   func(x float64) float64 { return math.Tan(math.Pi * x) },
+		"nan":     func(float64) float64 { return math.NaN() },
 
-		"atan2":     laneBinary(math.Atan2),
-		"pow":       laneBinary(math.Pow),
-		"powr":      laneBinary(math.Pow),
-		"fmod":      laneBinary(math.Mod),
-		"remainder": laneBinary(math.Remainder),
-		"fdim":      laneBinary(math.Dim),
-		"copysign":  laneBinary(math.Copysign),
-		"hypot":     laneBinary(math.Hypot),
-		"nextafter": laneBinary(math.Nextafter),
-		"maxmag": laneBinary(func(a, b float64) float64 {
+		"native_recip": func(x float64) float64 { return 1 / x },
+	}
+	mathBinary = map[string]func(a, b float64) float64{
+		"atan2":     math.Atan2,
+		"pow":       math.Pow,
+		"powr":      math.Pow,
+		"fmod":      math.Mod,
+		"remainder": math.Remainder,
+		"fdim":      math.Dim,
+		"copysign":  math.Copysign,
+		"hypot":     math.Hypot,
+		"nextafter": math.Nextafter,
+		"maxmag": func(a, b float64) float64 {
 			if math.Abs(a) >= math.Abs(b) {
 				return a
 			}
 			return b
-		}),
-		"minmag": laneBinary(func(a, b float64) float64 {
+		},
+		"minmag": func(a, b float64) float64 {
 			if math.Abs(a) <= math.Abs(b) {
 				return a
 			}
 			return b
-		}),
-		"step": laneBinary(func(edge, x float64) float64 {
+		},
+		"step": func(edge, x float64) float64 {
 			if x < edge {
 				return 0
 			}
 			return 1
-		}),
-		"ldexp": laneBinary(func(x, e float64) float64 { return math.Ldexp(x, int(e)) }),
-		"pown":  laneBinary(math.Pow),
-		"rootn": laneBinary(func(x, n float64) float64 { return math.Pow(x, 1/n) }),
+		},
+		"ldexp": func(x, e float64) float64 { return math.Ldexp(x, int(e)) },
+		"pown":  math.Pow,
+		"rootn": func(x, n float64) float64 { return math.Pow(x, 1/n) },
+		"fmin":  math.Min,
+		"fmax":  math.Max,
 
-		"mad": laneTernary(func(a, b, cc float64) float64 { return a*b + cc }),
-		"fma": laneTernary(math.FMA),
-		"mix": laneTernary(func(a, b, t float64) float64 { return a + (b-a)*t }),
-		"smoothstep": laneTernary(func(e0, e1, x float64) float64 {
+		"native_divide": func(a, b float64) float64 { return a / b },
+		"native_powr":   math.Pow,
+	}
+	mathTernary = map[string]func(a, b, x float64) float64{
+		"mad": func(a, b, cc float64) float64 { return a*b + cc },
+		"fma": math.FMA,
+		"mix": func(a, b, t float64) float64 { return a + (b-a)*t },
+		"smoothstep": func(e0, e1, x float64) float64 {
 			t := (x - e0) / (e1 - e0)
 			if t < 0 {
 				t = 0
@@ -551,15 +539,35 @@ func init() {
 				t = 1
 			}
 			return t * t * (3 - 2*t)
-		}),
-		"nan": laneUnary(func(float64) float64 { return math.NaN() }),
+		},
+	}
+)
+
+func init() {
+	// native_* and half_* alias the precise functions.
+	for _, base := range []string{"sqrt", "rsqrt", "sin", "cos", "tan", "exp",
+		"exp2", "log", "log2", "log10"} {
+		mathUnary["native_"+base] = mathUnary[base]
+		mathUnary["half_"+base] = mathUnary[base]
+	}
+	mathUnary["half_recip"] = mathUnary["native_recip"]
+	mathBinary["half_divide"] = mathBinary["native_divide"]
+	mathBinary["half_powr"] = mathBinary["native_powr"]
+
+	mathBuiltins = map[string]mathFn{}
+	for name, f := range mathUnary {
+		mathBuiltins[name] = laneUnary(f)
+	}
+	for name, f := range mathBinary {
+		mathBuiltins[name] = laneBinary(f)
+	}
+	for name, f := range mathTernary {
+		mathBuiltins[name] = laneTernary(f)
 	}
 
 	// Integer-aware min/max/clamp/abs.
 	mathBuiltins["min"] = arity(2, func(a []Value) (Value, error) { return minMax(false, a[0], a[1]), nil })
 	mathBuiltins["max"] = arity(2, func(a []Value) (Value, error) { return minMax(true, a[0], a[1]), nil })
-	mathBuiltins["fmin"] = laneBinary(math.Min)
-	mathBuiltins["fmax"] = laneBinary(math.Max)
 	mathBuiltins["clamp"] = arity(3, func(a []Value) (Value, error) {
 		return minMax(false, minMax(true, a[0], a[1]), a[2]), nil
 	})
@@ -756,17 +764,4 @@ func init() {
 		}
 		return FloatValue(clc.Float, r), nil
 	}
-
-	// native_* / half_* aliases.
-	for _, base := range []string{"sqrt", "rsqrt", "sin", "cos", "tan", "exp",
-		"exp2", "log", "log2", "log10"} {
-		mathBuiltins["native_"+base] = mathBuiltins[base]
-		mathBuiltins["half_"+base] = mathBuiltins[base]
-	}
-	mathBuiltins["native_recip"] = laneUnary(func(x float64) float64 { return 1 / x })
-	mathBuiltins["half_recip"] = mathBuiltins["native_recip"]
-	mathBuiltins["native_divide"] = laneBinary(func(a, b float64) float64 { return a / b })
-	mathBuiltins["half_divide"] = mathBuiltins["native_divide"]
-	mathBuiltins["native_powr"] = laneBinary(math.Pow)
-	mathBuiltins["half_powr"] = mathBuiltins["native_powr"]
 }

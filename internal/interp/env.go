@@ -84,8 +84,8 @@ type Env struct {
 	// usesBarrier records, per function, whether its call graph can reach a
 	// barrier; kernels that cannot take the fast sequential path.
 	usesBarrier map[string]bool
-	// nLocals counts the __local array declarations in function bodies.
-	nLocals int
+	// locals numbers the __local array declarations in function bodies.
+	locals map[*clc.VarDecl]int
 }
 
 // NewEnv prepares a checked file for execution. Compilation never fails:
@@ -97,12 +97,21 @@ func NewEnv(f *clc.File) (*Env, error) {
 		globals:     map[string]Value{},
 		consts:      map[string]*Pointer{},
 		usesBarrier: map[string]bool{},
+		locals:      map[*clc.VarDecl]int{},
 	}
 	for _, fd := range f.Functions() {
 		// The first definition of a name wins, as in clc.File.Function,
 		// which the driver and the static analyses resolve through.
 		if _, dup := env.funcs[fd.Name]; fd.Body != nil && !dup {
-			env.funcs[fd.Name] = &function{decl: fd}
+			env.funcs[fd.Name] = &function{decl: fd, env: env}
+			clc.Walk(fd.Body, func(n clc.Node) bool {
+				if d, ok := n.(*clc.VarDecl); ok && d.Space == clc.Local {
+					if _, isArr := d.Type.(*clc.ArrayType); isArr {
+						env.locals[d] = len(env.locals)
+					}
+				}
+				return true
+			})
 		}
 	}
 	for _, d := range f.Decls {
@@ -117,7 +126,7 @@ func NewEnv(f *clc.File) (*Env, error) {
 	for name := range env.funcs {
 		env.usesBarrier[name] = env.reachesBarrier(name, map[string]bool{})
 	}
-	cp := &compiler{env: env}
+	cp := &compiler{env: env, typed: true}
 	for _, fd := range f.Functions() {
 		if fn := env.funcs[fd.Name]; fn != nil && fn.decl == fd {
 			cp.compileFunction(fn)

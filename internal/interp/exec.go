@@ -3,6 +3,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"clgen/internal/clc"
 )
@@ -140,15 +141,25 @@ func (c *wiCtx) countArith(kind clc.ScalarKind, width int) {
 }
 
 // function is a compiled function: its body runs in a frame of nslots
-// variables whose first len(decl.Params) slots hold the arguments.
+// variables whose first len(decl.Params) slots hold the arguments. body is
+// compiled with static kinds (kinds.go) for arguments that meet guards.
 type function struct {
 	decl   *clc.FuncDecl
+	env    *Env
 	nslots int
 	body   execFn
+	guards []guard
+	// plainFn is the function compiled without static kinds, made by
+	// plain on first need.
+	plainOnce sync.Once
+	plainFn   *function
 }
 
 // call runs f with the given arguments in a frame of its own.
 func (c *wiCtx) call(f *function, args []Value) (Value, error) {
+	if !f.admits(args) {
+		f = f.plain()
+	}
 	if c.depth >= maxCallDepth {
 		return Value{}, fmt.Errorf("interp: call depth limit in %q", f.decl.Name)
 	}
@@ -226,12 +237,17 @@ type scope struct {
 	cells map[string]int
 }
 
-// compiler turns one function body into closures.
+// compiler turns one function body into closures, with static kinds when
+// typed.
 type compiler struct {
 	env       *Env
+	typed     bool
 	scopes    []scope
 	nslots    int
 	uncertain map[clc.Node]map[string]bool // per scope node, names with cells
+	// vars and ptrs are the function's statically kinded variables and
+	// pointer parameters (their pointee kind), found by inferKinds.
+	vars, ptrs map[string]clc.ScalarKind
 }
 
 // push opens the scope of node and returns its cells, which are reset
@@ -368,6 +384,9 @@ func uncertainNames(body *clc.BlockStmt) map[clc.Node]map[string]bool {
 func (cp *compiler) compileFunction(f *function) {
 	cp.scopes, cp.nslots = nil, 0
 	cp.uncertain = uncertainNames(f.decl.Body)
+	if cp.typed {
+		f.guards = cp.inferKinds(f.decl)
+	}
 	cp.push(f.decl)
 	for _, p := range f.decl.Params {
 		cp.bind(p.Name)
@@ -447,24 +466,21 @@ func (cp *compiler) stmtBody(s clc.Stmt) execFn {
 			return ctrlNone, nil
 		}
 	case *clc.ExprStmt:
-		e := cp.expr(x.X)
+		e := cp.effect(x.X)
 		return func(c *wiCtx) (ctrl, error) {
 			_, err := e(c)
 			return ctrlNone, err
 		}
 	case *clc.IfStmt:
-		cond, then := cp.expr(x.Cond), cp.stmt(x.Then)
+		cond, then := cp.cond(x.Cond), cp.stmt(x.Then)
 		els := result(ctrlNone, nil)
 		if x.Else != nil {
 			els = cp.stmt(x.Else)
 		}
 		return func(c *wiCtx) (ctrl, error) {
-			v, err := cond(c)
-			if err != nil {
+			if ok, err := test(c, cond); err != nil {
 				return ctrlNone, err
-			}
-			c.prof.Branches++
-			if v.Bool() {
+			} else if ok {
 				return then(c)
 			}
 			return els(c)
@@ -472,11 +488,11 @@ func (cp *compiler) stmtBody(s clc.Stmt) execFn {
 	case *clc.ForStmt:
 		return cp.forStmt(x)
 	case *clc.WhileStmt:
-		cond := cp.expr(x.Cond)
+		cond := cp.cond(x.Cond)
 		return loop(nil, cond, cp.stmt(x.Body), nil, false)
 	case *clc.DoWhileStmt:
 		body := cp.stmt(x.Body)
-		return loop(nil, cp.expr(x.Cond), body, nil, true)
+		return loop(nil, cp.cond(x.Cond), body, nil, true)
 	case *clc.ReturnStmt:
 		if x.X == nil {
 			return result(ctrlReturn, nil)
@@ -496,37 +512,52 @@ func (cp *compiler) stmtBody(s clc.Stmt) execFn {
 	return result(ctrlNone, fmt.Errorf("interp: unsupported statement %T", s))
 }
 
+// effect compiles e evaluated for its side effects alone.
+func (cp *compiler) effect(e clc.Expr) evalFn {
+	if s, ok := cp.scalar(e); ok {
+		return func(c *wiCtx) (Value, error) {
+			_, err := s.eval(c)
+			return Value{}, err
+		}
+	}
+	return cp.expr(e)
+}
+
+// condFn evaluates a condition as Value.Bool tests it.
+type condFn func(c *wiCtx) (bool, error)
+
 // test evaluates a loop or branch condition, counting the branch.
-func test(c *wiCtx, cond evalFn) (bool, error) {
-	v, err := cond(c)
+func test(c *wiCtx, cond condFn) (bool, error) {
+	ok, err := cond(c)
 	if err != nil {
 		return false, err
 	}
 	c.prof.Branches++
-	return v.Bool(), nil
+	return ok, nil
 }
 
 func (cp *compiler) forStmt(x *clc.ForStmt) execFn {
 	cells := cp.push(x)
 	defer cp.pop()
 	var init execFn
-	var cond, post evalFn
+	var cond condFn
+	var post evalFn
 	if x.Init != nil {
 		init = cp.stmt(x.Init)
 	}
 	if x.Cond != nil {
-		cond = cp.expr(x.Cond)
+		cond = cp.cond(x.Cond)
 	}
 	body := cp.stmt(x.Body)
 	if x.Post != nil {
-		post = cp.expr(x.Post)
+		post = cp.effect(x.Post)
 	}
 	return entering(cells, loop(init, cond, body, post, false))
 }
 
 // loop runs init, then iterations of one budget unit each: the test
 // (after the body for do-while), the body and post. A nil test is true.
-func loop(init execFn, cond evalFn, body execFn, post evalFn, bodyFirst bool) execFn {
+func loop(init execFn, cond condFn, body execFn, post evalFn, bodyFirst bool) execFn {
 	return func(c *wiCtx) (ctrl, error) {
 		if init != nil {
 			if _, err := init(c); err != nil {
@@ -627,6 +658,19 @@ func (cp *compiler) switchStmt(x *clc.SwitchStmt) execFn {
 // decl compiles a variable declaration. The initializer sees the scope
 // as it was before the declaration.
 func (cp *compiler) decl(d *clc.VarDecl) func(*wiCtx) error {
+	if st, ok := d.Type.(*clc.ScalarType); ok && staticKind(st.Kind) {
+		if s, ok := cp.scalar(d.Init); ok {
+			init := s.convert(st.Kind)
+			idx, cell := cp.bind(d.Name)
+			return func(c *wiCtx) error {
+				l, err := init(c)
+				if err == nil {
+					c.declare(idx, cell, slot{val: box(st.Kind, l)})
+				}
+				return err
+			}
+		}
+	}
 	at, isArr := d.Type.(*clc.ArrayType)
 	if !isArr {
 		var init evalFn
@@ -656,8 +700,7 @@ func (cp *compiler) decl(d *clc.VarDecl) func(*wiCtx) error {
 	if space == clc.Local {
 		// __local arrays in function bodies are one allocation per
 		// work-group, shared by all of its work-items.
-		li := cp.env.nLocals
-		cp.env.nLocals++
+		li := cp.env.locals[d]
 		idx, cell := cp.bind(d.Name)
 		return func(c *wiCtx) error {
 			p := c.locals[li]
@@ -957,11 +1000,12 @@ func indexed(p *Pointer, idx int64) (off int64, arr *clc.ArrayType) {
 	return off, arr
 }
 
-// stepped prefixes run with the expression's unit of budget.
-func stepped(run evalFn) evalFn {
-	return func(c *wiCtx) (Value, error) {
+// stepped prefixes run (an evalFn or laneFn) with its node's unit of budget.
+func stepped[T any](run func(*wiCtx) (T, error)) func(*wiCtx) (T, error) {
+	return func(c *wiCtx) (T, error) {
 		if err := c.step(); err != nil {
-			return Value{}, err
+			var zero T
+			return zero, err
 		}
 		return run(c)
 	}
@@ -977,26 +1021,25 @@ func constExpr(v Value) evalFn {
 	}
 }
 
-// expr compiles an expression; evaluating it spends one unit of budget
-// before anything else.
-func (cp *compiler) expr(e clc.Expr) evalFn {
+// literal returns the value of a literal or sizeof expression.
+func literal(e clc.Expr) (Value, bool) {
 	switch x := e.(type) {
 	case *clc.IntLit:
 		kind := clc.Int
 		if st, ok := x.ExprType().(*clc.ScalarType); ok {
 			kind = st.Kind
 		}
-		return constExpr(IntValue(kind, x.Value))
+		return IntValue(kind, x.Value), true
 	case *clc.FloatLit:
 		kind := clc.Double
 		if st, ok := x.ExprType().(*clc.ScalarType); ok {
 			kind = st.Kind
 		}
-		return constExpr(FloatValue(kind, x.Value))
+		return FloatValue(kind, x.Value), true
 	case *clc.CharLit:
-		return constExpr(IntValue(clc.Char, x.Value))
+		return IntValue(clc.Char, x.Value), true
 	case *clc.StringLit:
-		return constExpr(Value{})
+		return Value{}, true
 	case *clc.SizeofExpr:
 		size := int64(4)
 		if x.Type != nil {
@@ -1004,9 +1047,25 @@ func (cp *compiler) expr(e clc.Expr) evalFn {
 		} else if t := x.X.ExprType(); t != nil {
 			size = int64(t.Size())
 		}
-		return constExpr(IntValue(clc.ULong, size))
-	case *clc.Ident:
+		return IntValue(clc.ULong, size), true
+	}
+	return Value{}, false
+}
+
+// expr compiles an expression; evaluating it spends one unit of budget
+// before anything else. A statically kinded expression other than a
+// literal or variable is compiled by scalar and boxed.
+func (cp *compiler) expr(e clc.Expr) evalFn {
+	if v, ok := literal(e); ok {
+		return constExpr(v)
+	}
+	if x, ok := e.(*clc.Ident); ok {
 		return cp.ident(x)
+	}
+	if s, ok := cp.scalar(e); ok {
+		return s.value()
+	}
+	switch x := e.(type) {
 	case *clc.BinaryExpr:
 		return cp.binary(x)
 	case *clc.AssignExpr:
@@ -1016,7 +1075,7 @@ func (cp *compiler) expr(e clc.Expr) evalFn {
 	case *clc.PostfixExpr:
 		return stepped(cp.incDec(x.X, x.Op, true))
 	case *clc.CondExpr:
-		cond, a, b := cp.expr(x.Cond), cp.expr(x.A), cp.expr(x.B)
+		cond, a, b := cp.cond(x.Cond), cp.expr(x.A), cp.expr(x.B)
 		return stepped(func(c *wiCtx) (Value, error) {
 			if ok, err := test(c, cond); err != nil {
 				return Value{}, err
@@ -1159,24 +1218,6 @@ func (cp *compiler) initList(x *clc.InitList) evalFn {
 
 func (cp *compiler) binary(x *clc.BinaryExpr) evalFn {
 	a, b, op := cp.expr(x.X), cp.expr(x.Y), x.Op
-	if op == clc.LAND || op == clc.LOR {
-		// Short-circuit evaluation.
-		and := op == clc.LAND
-		return stepped(func(c *wiCtx) (Value, error) {
-			av, err := a(c)
-			if err != nil {
-				return Value{}, err
-			}
-			if av.Bool() != and {
-				return IntValue(clc.Int, boolToInt(!and)), nil
-			}
-			bv, err := b(c)
-			if err != nil {
-				return Value{}, err
-			}
-			return IntValue(clc.Int, boolToInt(bv.Bool())), nil
-		})
-	}
 	return func(c *wiCtx) (Value, error) {
 		if err := c.step(); err != nil {
 			return Value{}, err
@@ -1189,13 +1230,7 @@ func (cp *compiler) binary(x *clc.BinaryExpr) evalFn {
 		if err != nil {
 			return Value{}, err
 		}
-		var out Value
-		if av.Width == 1 && bv.Width == 1 && av.Kind == bv.Kind {
-			// Same-kind scalars need no promotion: pass lanes, not Values.
-			out, err = scalarOp(op, av.Kind, lane{av.i, av.f}, lane{bv.i, bv.f})
-		} else {
-			out, err = binaryOp(op, av, bv)
-		}
+		out, err := binaryOp(op, av, bv)
 		if err != nil {
 			return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 		}

@@ -19,24 +19,39 @@ import (
 // fuzzSteps is FuzzRun's budget per launch.
 const fuzzSteps = 1 << 14
 
+// Argument variants of FuzzRun: the arguments a kernel declares, and
+// arguments that break the typed compilation's entry guards or exercise
+// its load and store conversions.
+const (
+	argsDeclared   = iota
+	argsPtrScalars // every scalar parameter passed a pointer
+	argsOtherElem  // every pointer to a scalar claims the other kind (int, float)
+	argsOtherBuf   // every buffer holds the other kind under the declared pointee
+	argVariants
+)
+
 // FuzzRun executes every input that parses and type-checks, each of its
-// kernels on a small NDRange and budget. The invariants: no Go panic; a
-// launch that consumed more than its budget (Profile.Steps) failed with
-// ErrStepLimit, and one that failed with ErrStepLimit consumed exactly one
-// step past it; and every work-item goroutine of a lockstep launch has
-// exited once Run returns.
+// kernels on a small NDRange and budget, with the arguments variant
+// selects. The invariants: no Go panic; a launch that consumed more than
+// its budget (Profile.Steps) failed with ErrStepLimit, and one that failed
+// with ErrStepLimit consumed exactly one step past it; every work-item
+// goroutine of a lockstep launch has exited once Run returns; and the
+// typed compilation agrees with the untyped one on every buffer, MaxSlot,
+// the whole Profile and the error's text, class and fault.
 func FuzzRun(f *testing.F) {
 	for _, b := range suites.All() {
-		f.Add(b.Src)
+		f.Add(b.Src, uint8(argsDeclared))
 	}
 	for _, src := range fixtureKernels(f, "interp_test.go") {
-		f.Add(src)
+		for v := range uint8(argVariants) {
+			f.Add(src, v)
+		}
 	}
 	f.Add(`__kernel void A(__global int* a) {
   int x = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17};
   a[0] = x;
-}`)
-	f.Fuzz(func(t *testing.T, src string) {
+}`, uint8(argsDeclared))
+	f.Fuzz(func(t *testing.T, src string, variant uint8) {
 		if len(src) > 1<<12 {
 			return
 		}
@@ -48,19 +63,22 @@ func FuzzRun(f *testing.F) {
 		if err != nil {
 			return
 		}
+		plain, err := interp.NewUntypedEnv(file)
+		if err != nil {
+			t.Fatalf("NewEnv succeeded, NewUntypedEnv failed: %v", err)
+		}
+		cfg := interp.RunConfig{GlobalSize: [3]int{8, 1, 1}, LocalSize: [3]int{4, 1, 1}, MaxSteps: fuzzSteps}
 		for _, name := range env.Kernels() {
 			fd, err := env.Kernel(name)
 			if err != nil {
 				continue
 			}
-			args, ok := fuzzArgs(fd)
+			args, ok := fuzzArgs(fd, variant%argVariants)
 			if !ok {
 				continue
 			}
 			before := runtime.NumGoroutine()
-			prof, err := env.Run(name, args, interp.RunConfig{
-				GlobalSize: [3]int{8, 1, 1}, LocalSize: [3]int{4, 1, 1}, MaxSteps: fuzzSteps,
-			})
+			prof, err := env.Run(name, args, cfg)
 			if prof != nil {
 				limit := errors.Is(err, interp.ErrStepLimit)
 				if prof.Steps > fuzzSteps && !limit {
@@ -72,6 +90,11 @@ func FuzzRun(f *testing.F) {
 			}
 			if n := settledGoroutines(before); n > before {
 				t.Errorf("%s: %d goroutines after the launch, %d before", name, n, before)
+			}
+			plainArgs, _ := fuzzArgs(fd, variant%argVariants)
+			plainProf, plainErr := plain.Run(name, plainArgs, cfg)
+			for _, d := range diffRecords(outcome(name, prof, err, args), outcome(name, plainProf, plainErr, plainArgs)) {
+				t.Errorf("%s: typed %s (untyped)", name, d)
 			}
 		}
 	})
@@ -88,22 +111,28 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// fuzzArgs builds small arguments for a kernel: 64-element buffers with
-// fixed contents and small scalars. Kernels with struct or nested pointer
-// parameters are skipped.
-func fuzzArgs(fd *clc.FuncDecl) ([]interp.Value, bool) {
+// fuzzArgs builds small arguments for a kernel in the given variant:
+// 64-element buffers with fixed contents and small scalars. Kernels with
+// struct or nested pointer parameters are skipped.
+func fuzzArgs(fd *clc.FuncDecl, variant uint8) ([]interp.Value, bool) {
 	args := make([]interp.Value, len(fd.Params))
 	for i, p := range fd.Params {
 		switch t := p.Type.(type) {
 		case *clc.PointerType:
-			kind, per := clc.ScalarKind(0), 1
+			kind, per, elem := clc.ScalarKind(0), 1, t.Elem
 			switch e := t.Elem.(type) {
 			case *clc.ScalarType:
 				kind = e.Kind
+				if variant == argsOtherElem {
+					elem = &clc.ScalarType{Kind: otherKind(kind)}
+				}
 			case *clc.VectorType:
 				kind, per = e.Elem, e.Len
 			default:
 				return nil, false
+			}
+			if variant == argsOtherBuf {
+				kind = otherKind(kind)
 			}
 			buf := interp.NewBuffer(kind, 64*per, t.Space)
 			for j := range buf.F {
@@ -112,11 +141,15 @@ func fuzzArgs(fd *clc.FuncDecl) ([]interp.Value, bool) {
 			for j := range buf.I {
 				buf.I[j] = int64(j % 5)
 			}
-			args[i] = interp.PtrValue(&interp.Pointer{Buf: buf, Elem: t.Elem})
+			args[i] = interp.PtrValue(&interp.Pointer{Buf: buf, Elem: elem})
 		case *clc.ScalarType:
-			if t.Kind.IsFloat() {
+			switch {
+			case variant == argsPtrScalars:
+				buf := interp.NewBuffer(clc.Int, 64, clc.Global)
+				args[i] = interp.PtrValue(&interp.Pointer{Buf: buf, Off: 3, Elem: clc.TypeInt})
+			case t.Kind.IsFloat():
 				args[i] = interp.FloatValue(t.Kind, 1.5)
-			} else {
+			default:
 				args[i] = interp.IntValue(t.Kind, 4)
 			}
 		case *clc.VectorType:
@@ -126,6 +159,14 @@ func fuzzArgs(fd *clc.FuncDecl) ([]interp.Value, bool) {
 		}
 	}
 	return args, true
+}
+
+// otherKind swaps integer and float scalar kinds.
+func otherKind(k clc.ScalarKind) clc.ScalarKind {
+	if k.IsFloat() {
+		return clc.Int
+	}
+	return clc.Float
 }
 
 // fixtureKernels returns the kernel sources written as raw string

@@ -177,7 +177,13 @@ func diffRecords(got, want runRecord) []string {
 // record runs one launch and summarizes its outcome.
 func record(r goldenRun) runRecord {
 	prof, err := r.env.Run(r.name, r.args, r.cfg)
-	rec := runRecord{ID: r.id, Profile: prof}
+	return outcome(r.id, prof, err, r.args)
+}
+
+// outcome summarizes a launch: its error's text, class and fault, its
+// profile and every pointer argument's buffer.
+func outcome(id string, prof *interp.Profile, err error, args []interp.Value) runRecord {
+	rec := runRecord{ID: id, Profile: prof}
 	if err != nil {
 		rec.Err, rec.Class = err.Error(), errClass(err)
 		var mf *interp.MemFault
@@ -186,7 +192,7 @@ func record(r goldenRun) runRecord {
 			rec.Fault = &f
 		}
 	}
-	for i, a := range r.args {
+	for i, a := range args {
 		if a.IsPointer() {
 			b := a.Ptr.Buf
 			rec.Buffers = append(rec.Buffers, bufRecord{Arg: i, Digest: digest(b), MaxSlot: b.MaxSlot})

@@ -3,6 +3,7 @@ package interp
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"clgen/internal/clc"
@@ -755,5 +756,162 @@ __kernel void A(__global int* a, __global int* b) { a[0] = 2; b[0] = 2; }`)
 	}
 	if a.I[0] != 1 {
 		t.Errorf("a[0] = %d, want 1 from the first definition", a.I[0])
+	}
+}
+
+// fellBack reports whether a call of the named function broke one of its
+// entry guards, so that it ran without static kinds.
+func fellBack(env *Env, name string) bool { return env.funcs[name].plainFn != nil }
+
+func TestGuardPointerInScalarParameter(t *testing.T) {
+	env := buildEnv(t, `__kernel void A(__global int* a, int n) { a[0] = n + 1; }`)
+	a := intBuf(make([]int64, 1))
+	n := PtrValue(&Pointer{Buf: intBuf(make([]int64, 8)), Off: 5, Elem: clc.TypeInt})
+	if _, err := env.Run("A", []Value{ptrArg(a, clc.TypeInt), n}, RunConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	// n + 1 is pointer arithmetic; storing the pointer keeps its offset.
+	if a.I[0] != 6 {
+		t.Errorf("a[0] = %d, want 6", a.I[0])
+	}
+	if !fellBack(env, "A") {
+		t.Error("a pointer in a scalar parameter did not break the guard")
+	}
+}
+
+func TestGuardNilPointerParameter(t *testing.T) {
+	env := buildEnv(t, `int first(__global int* p) { return p[0]; }
+__kernel void A(__global int* a) { a[0] = first(0); }`)
+	_, err := env.Run("A", []Value{ptrArg(intBuf(make([]int64, 1)), clc.TypeInt)}, RunConfig{})
+	if err == nil || !strings.Contains(err.Error(), "cannot index non-pointer") {
+		t.Errorf("err = %v, want indexing a null pointer to fail", err)
+	}
+	if !fellBack(env, "first") || fellBack(env, "A") {
+		t.Error("only the call passing a null pointer should break a guard")
+	}
+}
+
+func TestGuardPointerToOtherKind(t *testing.T) {
+	env := buildEnv(t, `__kernel void A(__global float* a, __global float* b) { b[0] = a[0] / 2; }`)
+	b := floatBuf(make([]float64, 1))
+	args := []Value{ptrArg(intBuf([]int64{3}), clc.TypeInt), ptrArg(b, clc.TypeFloat)}
+	if _, err := env.Run("A", args, RunConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	// Through an int pointer a[0] is the int 3, and 3 / 2 divides integers.
+	if b.F[0] != 1 {
+		t.Errorf("b[0] = %g, want 1", b.F[0])
+	}
+	if !fellBack(env, "A") {
+		t.Error("a pointer to another kind did not break the guard")
+	}
+}
+
+func TestGuardUserCallMismatchedPointer(t *testing.T) {
+	// A reassigns a, so its own body assumes nothing about a's pointee.
+	env := buildEnv(t, `float half_of(__global float* p) { return p[0] / 2; }
+__kernel void A(__global float* a, __global float* b) { a = a + 0; b[0] = half_of(a); }`)
+	b := floatBuf(make([]float64, 1))
+	args := []Value{ptrArg(intBuf([]int64{3}), clc.TypeInt), ptrArg(b, clc.TypeFloat)}
+	if _, err := env.Run("A", args, RunConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if b.F[0] != 1 {
+		t.Errorf("b[0] = %g, want 1", b.F[0])
+	}
+	if !fellBack(env, "half_of") || fellBack(env, "A") {
+		t.Error("only the call of half_of should break a guard")
+	}
+}
+
+func TestWellTypedCallsKeepStaticKinds(t *testing.T) {
+	env := buildEnv(t, `float half_of(__global float* p, int i) { return p[i] / 2; }
+__kernel void A(__global float* a, __global float* b, int n) {
+  int i = get_global_id(0);
+  if (i < n) b[i] = half_of(a, i);
+}`)
+	a, b := floatBuf([]float64{1, 2, 3, 4}), floatBuf(make([]float64, 4))
+	args := []Value{ptrArg(a, clc.TypeFloat), ptrArg(b, clc.TypeFloat), IntValue(clc.Int, 4)}
+	if _, err := env.Run("A", args, RunConfig{GlobalSize: [3]int{4, 1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if b.F[3] != 2 || fellBack(env, "A") || fellBack(env, "half_of") {
+		t.Errorf("b = %v, fell back: A %v, half_of %v", b.F, fellBack(env, "A"), fellBack(env, "half_of"))
+	}
+}
+
+// TestStaticKindRules pins the interpreter's kind rules that the typed
+// compilation must follow rather than C's, in both compilations.
+func TestStaticKindRules(t *testing.T) {
+	src := `__kernel void A(__global float* out, __global int* iout, __global float* fin, __global int* iin) {
+  int i;
+  float f;
+  f = i = 3.7f;
+  out[0] = f;
+  iout[0] = i;
+  char c = 100;
+  iout[1] = c + c;
+  float g = 0.5f;
+  iout[2] = (g < 1.0f) + (g > 1.0f);
+  int k = 5;
+  iout[3] = k++;
+  iout[4] = ++k;
+  char d = 127;
+  iout[5] = ++d;
+  iout[6] = d;
+  f = 1.5f;
+  out[1] = (f += 1);
+  i = 7;
+  out[2] = (i += 0.5f);
+  iout[7] = i;
+  out[3] = fin[0];
+  iout[8] = iin[0];
+}`
+	f, err := clc.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := clc.Check(f); err != nil {
+		t.Fatal(err)
+	}
+	var profs []*Profile
+	for _, newEnv := range []func(*clc.File) (*Env, error){NewEnv, NewUntypedEnv} {
+		env, err := newEnv(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, iout := floatBuf(make([]float64, 4)), intBuf(make([]int64, 9))
+		// fin holds ints and iin floats: loads convert from the buffer's kind.
+		args := []Value{ptrArg(out, clc.TypeFloat), ptrArg(iout, clc.TypeInt),
+			ptrArg(intBuf([]int64{3}), clc.TypeFloat), ptrArg(floatBuf([]float64{-2.75}), clc.TypeInt)}
+		prof, err := env.Run("A", args, RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		profs = append(profs, prof)
+		wantF := []float64{float64(float32(3.7)), 2.5, 7.5, 3}
+		wantI := []int64{
+			3,    // i = 3.7f converts; the assignment yields 3.7f
+			-56,  // char + char stays char
+			1,    // comparisons yield int 0/1
+			5, 7, // postfix yields the old value, prefix the new
+			128,  // ++ on a char yields the promoted int
+			-128, // and stores the char
+			7,    // i += 0.5f yields the float 7.5 and stores 7
+			-2,   // a float buffer read as int truncates
+		}
+		for j, w := range wantF {
+			if out.F[j] != w {
+				t.Errorf("out[%d] = %g, want %g", j, out.F[j], w)
+			}
+		}
+		for j, w := range wantI {
+			if iout.I[j] != w {
+				t.Errorf("iout[%d] = %d, want %d", j, iout.I[j], w)
+			}
+		}
+	}
+	if *profs[0] != *profs[1] {
+		t.Errorf("typed profile %+v, untyped %+v", *profs[0], *profs[1])
 	}
 }

@@ -51,7 +51,7 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 		prof:   &Profile{},
 		budget: cfg.MaxSteps,
 		args:   append([]Value(nil), args...),
-		locals: make([]*Pointer, env.nLocals),
+		locals: make([]*Pointer, len(env.locals)),
 	}
 	for d := 0; d < 3; d++ {
 		l.gsize[d] = int64(cfg.GlobalSize[d])
