@@ -84,7 +84,8 @@ type Env struct {
 	// usesBarrier records, per function, whether its call graph can reach a
 	// barrier; kernels that cannot take the fast sequential path.
 	usesBarrier map[string]bool
-	// locals numbers the __local array declarations in function bodies.
+	// locals numbers the __local array declarations in function bodies,
+	// once for both of a function's compilations.
 	locals map[*clc.VarDecl]int
 }
 

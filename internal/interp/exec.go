@@ -237,8 +237,7 @@ type scope struct {
 	cells map[string]int
 }
 
-// compiler turns one function body into closures, with static kinds when
-// typed.
+// compiler turns one function body into closures, typed or plain.
 type compiler struct {
 	env       *Env
 	typed     bool

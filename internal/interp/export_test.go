@@ -2,9 +2,9 @@ package interp
 
 import "clgen/internal/clc"
 
-// NewUntypedEnv is NewEnv with static kinds switched off: every function
-// runs the body its entry guards fall back to. It is the differential
-// oracle of the typed compilation.
+// NewUntypedEnv is NewEnv with every function running the plain body its
+// entry guards fall back to, compiled with no variable or parameter kinds.
+// It is the differential oracle of the typed compilation.
 func NewUntypedEnv(f *clc.File) (*Env, error) {
 	env, err := NewEnv(f)
 	if err != nil {

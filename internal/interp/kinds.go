@@ -13,9 +13,8 @@ import (
 // compile time. A laneFn spends its budget unit, touches memory and counts
 // exactly where the Value closure it replaces does.
 
-// laneFn evaluates a scalar expression of a kind fixed at compile time.
-// Only the lane's view of that kind is meaningful: i for integer kinds,
-// f for float kinds.
+// laneFn evaluates a scalar expression of a kind fixed at compile time; only
+// the lane's view of that kind (i for integers, f for floats) is meaningful.
 type laneFn func(c *wiCtx) (lane, error)
 
 // scalarFn is a compiled scalar expression and its kind.
@@ -54,8 +53,8 @@ func (f *function) admits(args []Value) bool {
 	return true
 }
 
-// plain returns f compiled with static kinds switched off, compiling it on
-// first need. Its calls run the callees' plain bodies too.
+// plain returns f compiled with no variable or parameter kinds, on first
+// need. Its calls run the callees' plain bodies too.
 func (f *function) plain() *function {
 	f.plainOnce.Do(func() {
 		p := &function{decl: f.decl, env: f.env}
@@ -71,6 +70,7 @@ func (f *function) plain() *function {
 // a scalar of one kind and every initializer and assignment statically
 // kinded, and pointer parameters to a scalar that are never reassigned.
 func (cp *compiler) inferKinds(fd *clc.FuncDecl) []guard {
+	// bad holds the names that are address-taken or bound through a cell.
 	decls, local, bad := map[string][]clc.Type{}, map[string]bool{}, map[string]bool{}
 	for _, p := range fd.Params {
 		decls[p.Name] = append(decls[p.Name], p.Type)
