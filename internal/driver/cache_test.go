@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clgen/internal/cache"
@@ -116,8 +117,8 @@ func TestMeasureStableUnderMemoization(t *testing.T) {
 // TestCheckFailureClassSurvivesMemo: a run failure's Err unwraps to the
 // interpreter error of its class (errors.Is / errors.As) whether the check
 // executed or the persistent memo served it, with the same text; Steps,
-// the budget its executions consumed, is the same both ways and is what
-// the checked journal event carries.
+// the budget its executions consumed, is the same both ways, and the
+// checked journal events carry it and the class, equivalent cold and warm.
 func TestCheckFailureClassSurvivesMemo(t *testing.T) {
 	if err := cache.SetDir(t.TempDir()); err != nil {
 		t.Fatal(err)
@@ -128,17 +129,20 @@ func TestCheckFailureClassSurvivesMemo(t *testing.T) {
 	const maxSteps = 1 << 14
 	var mf *interp.MemFault
 	for _, tc := range []struct {
-		name, src string
-		class     func(error) bool
+		name, src, want string
+		class           func(error) bool
 	}{
-		{"step limit", `__kernel void A(__global int* a) { while (1) { a[0] = 1; } }`,
+		{"step limit", `__kernel void A(__global int* a) { while (1) { a[0] = 1; } }`, classStepLimit,
 			func(err error) bool { return errors.Is(err, interp.ErrStepLimit) }},
-		{"fault", `__kernel void A(__global int* a) { a[get_global_id(0) + 100000] = 1; }`,
+		{"fault", `__kernel void A(__global int* a) { a[get_global_id(0) + 100000] = 1; }`, classFault,
 			func(err error) bool { return errors.As(err, &mf) && mf.Write && mf.Arg == 0 }},
 		{"barrier divergence", `__kernel void A(__global int* a) {
   if (get_local_id(0) == 0) { barrier(CLK_LOCAL_MEM_FENCE); }
   a[get_global_id(0)] = 1;
-}`, func(err error) bool { return errors.Is(err, interp.ErrBarrierDivergence) }},
+}`, classBarrier, func(err error) bool { return errors.Is(err, interp.ErrBarrierDivergence) }},
+		{"other", `int f(int x) { return f(x + 1); }
+__kernel void A(__global int* a) { a[get_global_id(0)] = f(1); }`, classOther,
+			func(err error) bool { return strings.Contains(err.Error(), "call depth limit") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, err := Load(tc.src)
@@ -146,9 +150,9 @@ func TestCheckFailureClassSurvivesMemo(t *testing.T) {
 				t.Fatal(err)
 			}
 			var cold, warm CheckResult
-			events := captureJournal(t, func() { cold = Check(k, 64, 1, RunConfig{MaxSteps: maxSteps}) })
+			coldEvents := captureJournal(t, func() { cold = Check(k, 64, 1, RunConfig{MaxSteps: maxSteps}) })
 			cache.FlushMemory() // only the persistent tier stays warm
-			events = append(events, captureJournal(t, func() { warm = Check(k, 64, 1, RunConfig{MaxSteps: maxSteps}) })...)
+			warmEvents := captureJournal(t, func() { warm = Check(k, 64, 1, RunConfig{MaxSteps: maxSteps}) })
 			if cold.CacheHit || !warm.CacheHit {
 				t.Fatalf("cache hits: cold %v, warm %v", cold.CacheHit, warm.CacheHit)
 			}
@@ -163,9 +167,12 @@ func TestCheckFailureClassSurvivesMemo(t *testing.T) {
 			if tc.name == "step limit" && cold.Steps != maxSteps+1 {
 				t.Errorf("steps = %d, want %d", cold.Steps, maxSteps+1)
 			}
-			for _, ev := range events {
-				if ev.Stage == journal.StageChecked && ev.Steps != cold.Steps {
-					t.Errorf("checked event steps = %d, want %d", ev.Steps, cold.Steps)
+			if !journal.Equivalent(coldEvents, warmEvents) {
+				t.Error("cold and warm check journals not equivalent")
+			}
+			for _, ev := range append(coldEvents, warmEvents...) {
+				if ev.Stage == journal.StageChecked && (ev.Steps != cold.Steps || ev.Class != tc.want) {
+					t.Errorf("checked event: %d steps, class %q; want %d, %q", ev.Steps, ev.Class, cold.Steps, tc.want)
 				}
 			}
 		})

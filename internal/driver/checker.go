@@ -99,6 +99,9 @@ func Check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 		ev := journal.Event{ID: journal.ID(k.Src), Stage: journal.StageChecked,
 			Verdict: string(res.Verdict), Size: globalSize, Seed: seed, Steps: res.Steps,
 			CacheHit: res.CacheHit, DurMS: float64(time.Since(start)) / float64(time.Millisecond)}
+		if res.Err != nil {
+			ev.Class = errClass(res.Err)
+		}
 		if res.Fault != nil {
 			ev.Fault = &journal.Fault{Arg: res.Fault.Arg, Slot: res.Fault.Slot,
 				Len: res.Fault.Len, Write: res.Fault.Write}

@@ -22,11 +22,9 @@ const stepLimitSrc = `__kernel void A(__global const float* a, __global float* b
   }
 }`
 
-// BenchmarkStepLimit runs the step-limit shape until it exhausts a fixed
-// budget and reports the interpreter's cost per step.
-func BenchmarkStepLimit(b *testing.B) {
-	const steps, n = 1 << 20, 1 << 16
-	f, err := clc.Parse(stepLimitSrc)
+// benchEnv compiles src for a benchmark.
+func benchEnv(b *testing.B, src string) *Env {
+	f, err := clc.Parse(src)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,6 +35,14 @@ func BenchmarkStepLimit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return env
+}
+
+// BenchmarkStepLimit runs the step-limit shape until it exhausts a fixed
+// budget and reports the interpreter's cost per step.
+func BenchmarkStepLimit(b *testing.B) {
+	const steps, n = 1 << 20, 1 << 16
+	env := benchEnv(b, stepLimitSrc)
 	a := NewBuffer(clc.Float, n, clc.Global)
 	for i := range a.F {
 		a.F[i] = float64(i%7) - 2.5
@@ -55,4 +61,46 @@ func BenchmarkStepLimit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/steps, "ns/step")
+}
+
+// lockstepSrc is the suites' reduction shape: a tree sum in local memory
+// with a barrier after every step.
+const lockstepSrc = `__kernel void A(__global const float* in, __global float* out, __local float* sdata) {
+  unsigned int lid = get_local_id(0);
+  sdata[lid] = in[get_global_id(0)];
+  barrier(CLK_LOCAL_MEM_FENCE);
+  for (int s = get_local_size(0) / 2; s > 0; s >>= 1) {
+    if (lid < s) sdata[lid] += sdata[lid + s];
+    barrier(CLK_LOCAL_MEM_FENCE);
+  }
+  if (lid == 0) out[get_group_id(0)] = sdata[0];
+}`
+
+// BenchmarkLockstep runs the reduction shape on work-groups of 128 and
+// reports the interpreter's cost per work-item phase: one work-item's run
+// up to its next barrier or its end.
+func BenchmarkLockstep(b *testing.B) {
+	const n, local = 1024, 128
+	env := benchEnv(b, lockstepSrc)
+	in := NewBuffer(clc.Float, n, clc.Global)
+	for i := range in.F {
+		in.F[i] = float64(i%7) - 2.5
+	}
+	args := []Value{
+		PtrValue(&Pointer{Buf: in, Elem: clc.TypeFloat}),
+		PtrValue(&Pointer{Buf: NewBuffer(clc.Float, n/local, clc.Global), Elem: clc.TypeFloat}),
+		PtrValue(&Pointer{Buf: NewBuffer(clc.Float, local, clc.Local), Elem: clc.TypeFloat}),
+	}
+	cfg := RunConfig{GlobalSize: [3]int{n, 1, 1}, LocalSize: [3]int{local, 1, 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var phases int64
+	for i := 0; i < b.N; i++ {
+		prof, err := env.Run("A", args, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		phases = prof.WorkItems + prof.Barriers
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(phases), "ns/phase")
 }

@@ -91,7 +91,11 @@ type Env struct {
 
 // NewEnv prepares a checked file for execution. Compilation never fails:
 // a construct the interpreter cannot run raises its error when executed.
-func NewEnv(f *clc.File) (*Env, error) {
+func NewEnv(f *clc.File) (*Env, error) { return newEnv(f, true) }
+
+// newEnv is NewEnv; without park, every barrier kernel's work-items run
+// as goroutines.
+func newEnv(f *clc.File, park bool) (*Env, error) {
 	env := &Env{
 		File:        f,
 		funcs:       map[string]*function{},
@@ -126,6 +130,11 @@ func NewEnv(f *clc.File) (*Env, error) {
 	}
 	for name := range env.funcs {
 		env.usesBarrier[name] = env.reachesBarrier(name, map[string]bool{})
+	}
+	for name, fn := range env.funcs {
+		if park && fn.decl.IsKernel && env.usesBarrier[name] {
+			fn.parks = env.barrierPath(fn.decl.Body)
+		}
 	}
 	cp := &compiler{env: env, typed: true}
 	for _, fd := range f.Functions() {
@@ -302,6 +311,67 @@ func (env *Env) reachesBarrier(fn string, visiting map[string]bool) bool {
 		return true
 	})
 	return found
+}
+
+// barrierPath returns the statements of a kernel body on a path to one of
+// its barriers, if its work-items can park at every barrier they reach
+// (run.go): each is an expression statement of the body nested only in
+// blocks, if branches and loop bodies. A barrier reached through a user
+// function, in a switch case, in a for initializer or inside an
+// expression makes it return nil, since resuming there needs the Go stack.
+func (env *Env) barrierPath(body *clc.BlockStmt) map[clc.Stmt]bool {
+	path, unplaced := map[clc.Stmt]bool{}, 0
+	var visit func(s clc.Stmt) bool
+	visit = func(s clc.Stmt) (on bool) {
+		switch x := s.(type) {
+		case *clc.ExprStmt:
+			on = env.isBarrier(x.X)
+		case *clc.BlockStmt:
+			for _, st := range x.Stmts {
+				on = visit(st) || on
+			}
+		case *clc.IfStmt:
+			on = visit(x.Then)
+			if x.Else != nil {
+				on = visit(x.Else) || on
+			}
+		case *clc.ForStmt:
+			on = visit(x.Body)
+		case *clc.WhileStmt:
+			on = visit(x.Body)
+		case *clc.DoWhileStmt:
+			on = visit(x.Body)
+		}
+		if on {
+			path[s] = true
+		}
+		return on
+	}
+	visit(body)
+	clc.Walk(body, func(n clc.Node) bool {
+		if x, ok := n.(*clc.ExprStmt); ok && path[x] {
+			unplaced--
+		} else if call, ok := n.(*clc.CallExpr); ok {
+			if env.isBarrier(call) || env.usesBarrier[call.Fun] {
+				unplaced++
+			}
+		}
+		return true
+	})
+	if unplaced > 0 {
+		return nil
+	}
+	return path
+}
+
+// isBarrier reports whether e calls the barrier builtin.
+func (env *Env) isBarrier(e clc.Expr) bool {
+	call, ok := e.(*clc.CallExpr)
+	if !ok || call.Fun != "barrier" && call.Fun != "work_group_barrier" {
+		return false
+	}
+	_, user := env.funcs[call.Fun]
+	return !user
 }
 
 // Kernel returns the kernel declaration with the given name, or an error.

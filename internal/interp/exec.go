@@ -14,6 +14,16 @@ import (
 // at compile time. At run time a launch spends one unit of budget per
 // executed statement, loop iteration and expression node, evaluating
 // operands in source order: the step-accounting contract of DESIGN.md §7.
+//
+// A kernel whose every barrier is a statement of its own body nested only
+// in blocks, if branches and loop bodies (Env.barrierPath) compiles the
+// statements on a path to a barrier park-aware. A work-item parks by
+// returning ctrlBarrier from its body: each block on the way records the
+// statement that parked, each if its branch, in frame slots of their own.
+// It resumes by re-entering the body on its kept frame with resuming set:
+// the statements on the recorded path skip their unit of budget, their
+// test and their scope-cell reset and jump to the recorded position, and
+// the barrier statement clears resuming.
 
 // errCancelled unwinds work-item goroutines after another item failed.
 var errCancelled = errors.New("interp: cancelled")
@@ -26,6 +36,7 @@ const (
 	ctrlBreak
 	ctrlContinue
 	ctrlReturn
+	ctrlBarrier // parked at a barrier statement
 )
 
 type (
@@ -83,9 +94,11 @@ type wiCtx struct {
 	// group count.
 	ids    [6][3]int64
 	prof   *Profile
-	budget *int64
-	yield  func() error // barrier handoff; nil on the fast path
-	cancel *bool
+	budget int64        // the launch's budget while the work-item runs
+	yield  func() error // barrier handoff of a work-item goroutine, or nil
+	// resuming marks a parked work-item re-entering its kernel, until it
+	// is past the barrier it parked at.
+	resuming bool
 
 	// locals holds the work-group's __local arrays declared in function
 	// bodies, by declaration; all work-items of a group share it.
@@ -101,12 +114,9 @@ type wiCtx struct {
 const maxCallDepth = 64
 
 func (c *wiCtx) step() error {
-	*c.budget--
-	if *c.budget < 0 {
+	c.budget--
+	if c.budget < 0 {
 		return ErrStepLimit
-	}
-	if c.cancel != nil && *c.cancel {
-		return errCancelled
 	}
 	return nil
 }
@@ -149,6 +159,9 @@ type function struct {
 	nslots int
 	body   execFn
 	guards []guard
+	// parks holds, for a kernel whose work-items park at barriers, the
+	// statements on a path to a barrier; nil for any other function.
+	parks map[clc.Stmt]bool
 	// plainFn is the function compiled without static kinds, made by
 	// plain on first need.
 	plainOnce sync.Once
@@ -160,54 +173,66 @@ func (c *wiCtx) call(f *function, args []Value) (Value, error) {
 	if !f.admits(args) {
 		f = f.plain()
 	}
+	ct, err := c.enter(f, args)
+	if err != nil || ct != ctrlReturn {
+		return Value{}, err
+	}
+	return c.retVal, nil
+}
+
+// enter runs f's body in a fresh frame binding args or, for a resuming
+// work-item, in the frame its kernel parked in.
+func (c *wiCtx) enter(f *function, args []Value) (ctrl, error) {
 	if c.depth >= maxCallDepth {
-		return Value{}, fmt.Errorf("interp: call depth limit in %q", f.decl.Name)
+		return ctrlNone, fmt.Errorf("interp: call depth limit in %q", f.decl.Name)
 	}
 	c.depth++
 	for len(c.frames) <= c.depth {
 		c.frames = append(c.frames, nil)
 	}
-	fr := c.frames[c.depth]
+	saved := c.frame
+	c.frame = c.frames[c.depth]
+	var err error
+	if !c.resuming {
+		err = c.bindArgs(f, args)
+	}
+	ct := ctrlNone
+	if err == nil {
+		ct, err = f.body(c)
+	}
+	c.frame = saved
+	c.depth--
+	return ct, err
+}
+
+// bindArgs gives f a cleared frame at the current depth holding the
+// arguments, converted to their parameters' types.
+func (c *wiCtx) bindArgs(f *function, args []Value) error {
+	fr := c.frame
 	if cap(fr) < f.nslots {
 		fr = make([]slot, f.nslots)
 	} else {
 		fr = fr[:f.nslots]
 		clear(fr)
 	}
-	c.frames[c.depth] = fr
-	saved := c.frame
-	c.frame = fr
-	v, err := c.enter(f, args)
-	c.frame = saved
-	c.depth--
-	return v, err
-}
-
-func (c *wiCtx) enter(f *function, args []Value) (Value, error) {
+	c.frames[c.depth], c.frame = fr, fr
 	fd := f.decl
 	if len(args) != len(fd.Params) {
-		return Value{}, fmt.Errorf("interp: %q called with %d args, want %d", fd.Name, len(args), len(fd.Params))
+		return fmt.Errorf("interp: %q called with %d args, want %d", fd.Name, len(args), len(fd.Params))
 	}
 	for i, p := range fd.Params {
 		v := args[i]
 		if !v.IsPointer() {
 			conv, err := Convert(v, p.Type)
 			if err != nil {
-				return Value{}, fmt.Errorf("interp: argument %d of %q: %w", i, fd.Name, err)
+				return fmt.Errorf("interp: argument %d of %q: %w", i, fd.Name, err)
 			}
 			v = conv
 		}
 		c.frame[i] = slot{val: v}
 	}
 	c.retVal = Value{}
-	ct, err := f.body(c)
-	if err != nil {
-		return Value{}, err
-	}
-	if ct == ctrlReturn {
-		return c.retVal, nil
-	}
-	return Value{}, nil
+	return nil
 }
 
 // evalArgs evaluates call arguments onto the context's value stack. The
@@ -247,6 +272,14 @@ type compiler struct {
 	// vars and ptrs are the function's statically kinded variables and
 	// pointer parameters (their pointee kind), found by inferKinds.
 	vars, ptrs map[string]clc.ScalarKind
+	parks      map[clc.Stmt]bool // the statements to compile park-aware
+}
+
+// mark allocates a frame slot in which a park-aware statement records
+// where its work-item parked.
+func (cp *compiler) mark() int {
+	cp.nslots++
+	return cp.nslots - 1
 }
 
 // push opens the scope of node and returns its cells, which are reset
@@ -320,14 +353,17 @@ func (c *wiCtx) declare(idx, cell int, s slot) {
 	}
 }
 
-// entering resets a scope's cells before run.
+// entering resets a scope's cells before run, unless a work-item resumes
+// into the scope.
 func entering(cells []int, run execFn) execFn {
 	if len(cells) == 0 {
 		return run
 	}
 	return func(c *wiCtx) (ctrl, error) {
-		for _, k := range cells {
-			c.frame[k].val.i = 0
+		if !c.resuming {
+			for _, k := range cells {
+				c.frame[k].val.i = 0
+			}
 		}
 		return run(c)
 	}
@@ -383,6 +419,7 @@ func uncertainNames(body *clc.BlockStmt) map[clc.Node]map[string]bool {
 func (cp *compiler) compileFunction(f *function) {
 	cp.scopes, cp.nslots = nil, 0
 	cp.uncertain = uncertainNames(f.decl.Body)
+	cp.parks = f.parks
 	if cp.typed {
 		f.guards = cp.inferKinds(f.decl)
 	}
@@ -415,6 +452,23 @@ func (cp *compiler) block(b *clc.BlockStmt) execFn {
 	for i, s := range b.Stmts {
 		stmts[i] = cp.stmt(s)
 	}
+	if cp.parks[b] {
+		at := cp.mark()
+		return entering(cells, func(c *wiCtx) (ctrl, error) {
+			i := 0
+			if c.resuming {
+				i = int(c.frame[at].val.i)
+			}
+			for ; i < len(stmts); i++ {
+				ct, err := stmts[i](c)
+				if err != nil || ct != ctrlNone {
+					c.frame[at].val.i = int64(i) // where a parked item resumes
+					return ct, err
+				}
+			}
+			return ctrlNone, nil
+		})
+	}
 	return entering(cells, func(c *wiCtx) (ctrl, error) {
 		for _, s := range stmts {
 			ct, err := s(c)
@@ -430,6 +484,16 @@ func (cp *compiler) block(b *clc.BlockStmt) execFn {
 // before anything else.
 func (cp *compiler) stmt(s clc.Stmt) execFn {
 	run := cp.stmtBody(s)
+	if cp.parks[s] {
+		return func(c *wiCtx) (ctrl, error) {
+			if !c.resuming {
+				if err := c.step(); err != nil {
+					return ctrlNone, err
+				}
+			}
+			return run(c)
+		}
+	}
 	return func(c *wiCtx) (ctrl, error) {
 		if err := c.step(); err != nil {
 			return ctrlNone, err
@@ -466,6 +530,21 @@ func (cp *compiler) stmtBody(s clc.Stmt) execFn {
 		}
 	case *clc.ExprStmt:
 		e := cp.effect(x.X)
+		if cp.parks[x] {
+			// A barrier: park once it has counted, go on when resumed. A
+			// work-item goroutine, running this kernel as another's callee,
+			// has waited in the barrier call instead.
+			return func(c *wiCtx) (ctrl, error) {
+				if c.resuming {
+					c.resuming = false
+					return ctrlNone, nil
+				}
+				if _, err := e(c); err != nil || c.yield != nil {
+					return ctrlNone, err
+				}
+				return ctrlBarrier, nil
+			}
+		}
 		return func(c *wiCtx) (ctrl, error) {
 			_, err := e(c)
 			return ctrlNone, err
@@ -475,6 +554,22 @@ func (cp *compiler) stmtBody(s clc.Stmt) execFn {
 		els := result(ctrlNone, nil)
 		if x.Else != nil {
 			els = cp.stmt(x.Else)
+		}
+		if cp.parks[x] {
+			taken := cp.mark()
+			return func(c *wiCtx) (ctrl, error) {
+				if !c.resuming {
+					ok, err := test(c, cond)
+					if err != nil {
+						return ctrlNone, err
+					}
+					c.frame[taken].val.i = boolToInt(ok)
+				}
+				if c.frame[taken].val.i != 0 {
+					return then(c)
+				}
+				return els(c)
+			}
 		}
 		return func(c *wiCtx) (ctrl, error) {
 			if ok, err := test(c, cond); err != nil {
@@ -556,27 +651,32 @@ func (cp *compiler) forStmt(x *clc.ForStmt) execFn {
 
 // loop runs init, then iterations of one budget unit each: the test
 // (after the body for do-while), the body and post. A nil test is true.
+// A work-item resuming into the body skips init and the resumed
+// iteration's unit and leading test.
 func loop(init execFn, cond condFn, body execFn, post evalFn, bodyFirst bool) execFn {
 	return func(c *wiCtx) (ctrl, error) {
-		if init != nil {
+		resumed := c.resuming
+		if init != nil && !resumed {
 			if _, err := init(c); err != nil {
 				return ctrlNone, err
 			}
 		}
-		for {
-			if err := c.step(); err != nil {
-				return ctrlNone, err
-			}
-			if cond != nil && !bodyFirst {
-				if ok, err := test(c, cond); err != nil || !ok {
+		for ; ; resumed = false {
+			if !resumed {
+				if err := c.step(); err != nil {
 					return ctrlNone, err
+				}
+				if cond != nil && !bodyFirst {
+					if ok, err := test(c, cond); err != nil || !ok {
+						return ctrlNone, err
+					}
 				}
 			}
 			ct, err := body(c)
 			if err != nil || ct == ctrlBreak {
 				return ctrlNone, err
 			}
-			if ct == ctrlReturn {
+			if ct >= ctrlReturn { // a return, or parked at a barrier
 				return ct, nil
 			}
 			if bodyFirst {

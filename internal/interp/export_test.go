@@ -15,3 +15,12 @@ func NewUntypedEnv(f *clc.File) (*Env, error) {
 	}
 	return env, nil
 }
+
+// NewGoroutineEnv is NewEnv with every barrier kernel running one
+// goroutine per work-item, compiled with no statement that parks. It is the
+// differential oracle of parking work-items.
+func NewGoroutineEnv(f *clc.File) (*Env, error) { return newEnv(f, false) }
+
+// Parks reports whether the work-items of kernel name park at barriers by
+// returning.
+func (env *Env) Parks(name string) bool { return env.funcs[name].parks != nil }

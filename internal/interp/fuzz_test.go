@@ -36,15 +36,18 @@ const (
 // its budget (Profile.Steps) failed with ErrStepLimit, and one that failed
 // with ErrStepLimit consumed exactly one step past it; every work-item
 // goroutine of a lockstep launch has exited once Run returns; and the
-// typed compilation agrees with the untyped one on every buffer, MaxSlot,
-// the whole Profile and the error's text, class and fault.
+// typed compilation, the untyped one (NewUntypedEnv) and work-item
+// goroutines in place of parking (NewGoroutineEnv) agree on every buffer,
+// MaxSlot, the whole Profile and the error's text, class and fault.
 func FuzzRun(f *testing.F) {
 	for _, b := range suites.All() {
 		f.Add(b.Src, uint8(argsDeclared))
 	}
-	for _, src := range fixtureKernels(f, "interp_test.go") {
-		for v := range uint8(argVariants) {
-			f.Add(src, v)
+	for _, path := range []string{"interp_test.go", "park_test.go"} {
+		for _, src := range fixtureKernels(f, path) {
+			for v := range uint8(argVariants) {
+				f.Add(src, v)
+			}
 		}
 	}
 	f.Add(`__kernel void A(__global int* a) {
@@ -67,6 +70,10 @@ func FuzzRun(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewEnv succeeded, NewUntypedEnv failed: %v", err)
 		}
+		goroutines, err := interp.NewGoroutineEnv(file)
+		if err != nil {
+			t.Fatalf("NewEnv succeeded, NewGoroutineEnv failed: %v", err)
+		}
 		cfg := interp.RunConfig{GlobalSize: [3]int{8, 1, 1}, LocalSize: [3]int{4, 1, 1}, MaxSteps: fuzzSteps}
 		for _, name := range env.Kernels() {
 			fd, err := env.Kernel(name)
@@ -88,13 +95,19 @@ func FuzzRun(f *testing.F) {
 					t.Errorf("%s: ErrStepLimit after %d steps, want %d", name, prof.Steps, fuzzSteps+1)
 				}
 			}
-			if n := settledGoroutines(before); n > before {
-				t.Errorf("%s: %d goroutines after the launch, %d before", name, n, before)
-			}
+			got := outcome(name, prof, err, args)
 			plainArgs, _ := fuzzArgs(fd, variant%argVariants)
 			plainProf, plainErr := plain.Run(name, plainArgs, cfg)
-			for _, d := range diffRecords(outcome(name, prof, err, args), outcome(name, plainProf, plainErr, plainArgs)) {
+			for _, d := range diffRecords(got, outcome(name, plainProf, plainErr, plainArgs)) {
 				t.Errorf("%s: typed %s (untyped)", name, d)
+			}
+			goArgs, _ := fuzzArgs(fd, variant%argVariants)
+			goProf, goErr := goroutines.Run(name, goArgs, cfg)
+			for _, d := range diffRecords(got, outcome(name, goProf, goErr, goArgs)) {
+				t.Errorf("%s: parked %s (goroutines)", name, d)
+			}
+			if n := settledGoroutines(before); n > before {
+				t.Errorf("%s: %d goroutines after the launches, %d before", name, n, before)
 			}
 		}
 	})

@@ -123,6 +123,34 @@ func TestRunGolden(t *testing.T) {
 	t.Logf("%d runs compared", len(got))
 }
 
+// TestGoldenBarrierLaunchesPark requires every golden launch that counted
+// a barrier to have run on work-items that park by returning, so that the
+// golden keeps pinning the parking path rather than the goroutine one.
+func TestGoldenBarrierLaunchesPark(t *testing.T) {
+	want, err := readGolden(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := goldenRuns(t)
+	if len(runs) != len(want) {
+		t.Fatalf("%d runs, the golden has %d", len(runs), len(want))
+	}
+	n := 0
+	for i, r := range runs {
+		if p := want[i].Profile; p == nil || p.Barriers == 0 {
+			continue
+		}
+		n++
+		if !r.env.Parks(r.name) {
+			t.Errorf("%s: kernel %s runs its work-items as goroutines", r.id, r.name)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no golden launch counted a barrier")
+	}
+	t.Logf("%d barrier launches park", n)
+}
+
 func readGolden(path string) ([]runRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -57,7 +57,7 @@ func (f *function) admits(args []Value) bool {
 // need. Its calls run the callees' plain bodies too.
 func (f *function) plain() *function {
 	f.plainOnce.Do(func() {
-		p := &function{decl: f.decl, env: f.env}
+		p := &function{decl: f.decl, env: f.env, parks: f.parks}
 		p.plainOnce.Do(func() { p.plainFn = p })
 		(&compiler{env: f.env}).compileFunction(p)
 		f.plainFn = p

@@ -16,8 +16,8 @@ import (
 //
 // Work-groups execute one after another. Within a group, work-items run
 // sequentially; kernels whose call graph can reach barrier() run in
-// deterministic lockstep phases instead (one goroutine per work-item,
-// resumed round-robin), so barrier semantics hold without data races.
+// deterministic lockstep phases instead, each work-item in local-id order
+// up to its next barrier, so barrier semantics hold without data races.
 func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) {
 	fd, err := env.Kernel(name)
 	if err != nil {
@@ -48,6 +48,7 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 
 	l := &launch{
 		kernel: env.funcs[name],
+		park:   env.funcs[name].parks != nil,
 		prof:   &Profile{},
 		budget: cfg.MaxSteps,
 		args:   append([]Value(nil), args...),
@@ -89,6 +90,7 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 // launch is the state of one NDRange launch shared by its work-items.
 type launch struct {
 	kernel             *function
+	park               bool // its work-items park at barriers by returning
 	prof               *Profile
 	budget             int64
 	args               []Value    // the current group's arguments
@@ -101,7 +103,7 @@ type launch struct {
 
 // bind points c at work-item lid of group grp.
 func (l *launch) bind(c *wiCtx, grp, lid [3]int64) {
-	c.prof, c.budget, c.locals = l.prof, &l.budget, l.locals
+	c.prof, c.locals = l.prof, l.locals
 	c.ids = [6][3]int64{{}, lid, grp, l.gsize, l.lsize, l.ngrp}
 	for d := 0; d < 3; d++ {
 		c.ids[0][d] = grp[d]*l.lsize[d] + lid[d]
@@ -124,6 +126,7 @@ func (l *launch) runGroupSequential(grp [3]int64) error {
 		l.seq = &wiCtx{}
 	}
 	c := l.seq
+	c.budget = l.budget
 	var err error
 	l.localIter(func(lid [3]int64) {
 		if err != nil {
@@ -133,29 +136,40 @@ func (l *launch) runGroupSequential(grp [3]int64) error {
 		l.prof.WorkItems++
 		_, err = c.call(l.kernel, l.args)
 	})
+	l.budget = c.budget
 	return err
 }
 
-// lockstep execution: one goroutine per work-item of the group, resumed in
-// local-id order between barrier phases. The goroutines serve every group
-// of the launch in turn, keeping their grown stacks, until stop.
+// Lockstep execution runs a group in phases: each runs every work-item
+// that has not finished, in local-id order, until it reaches a barrier or
+// finishes. A work-item of a kernel Env.barrierPath accepts parks at a
+// barrier by returning from the body and resumes by re-entering it
+// (exec.go); any other barrier kernel's work-item is a goroutine, resumed
+// through channels. The work-items serve every group of the launch in
+// turn, keeping their frames (goroutines, their grown stacks) until stop.
 type wiReport struct {
 	barrier bool
 	err     error
 }
 
 type wiHandle struct {
-	c      wiCtx
+	c    wiCtx
+	fn   *function // the body a parking item's first phase chose, or nil
+	done bool
+	// resume and report hand a work-item goroutine off; nil when it parks.
 	resume chan struct{}
 	report chan wiReport
-	done   bool
 }
 
-// startWorkItem starts a goroutine that runs the kernel for one
-// work-item each time it is resumed at the start of a group.
-func (l *launch) startWorkItem() *wiHandle {
-	h := &wiHandle{resume: make(chan struct{}), report: make(chan wiReport)}
-	h.c.cancel = &l.cancel
+// newWorkItem makes a work-item, starting its goroutine unless it parks.
+// The goroutine runs the kernel each time it is resumed at the start of
+// a group.
+func (l *launch) newWorkItem() *wiHandle {
+	h := &wiHandle{}
+	if l.park {
+		return h
+	}
+	h.resume, h.report = make(chan struct{}), make(chan wiReport)
 	h.c.yield = func() error {
 		h.report <- wiReport{barrier: true}
 		<-h.resume
@@ -179,8 +193,34 @@ func (l *launch) startWorkItem() *wiHandle {
 // stop ends the lockstep goroutines, all idle between groups.
 func (l *launch) stop() {
 	for _, h := range l.items {
-		close(h.resume)
+		if h.resume != nil {
+			close(h.resume)
+		}
 	}
+}
+
+// phase runs h until it reaches a barrier or finishes, lending it the
+// launch's budget. Once an item of the group failed, the others stop.
+func (l *launch) phase(h *wiHandle) (barrier bool, err error) {
+	h.c.budget = l.budget
+	if h.resume != nil {
+		h.resume <- struct{}{}
+		r := <-h.report
+		barrier, err = r.barrier, r.err
+	} else if !l.cancel {
+		if h.fn == nil {
+			if h.fn = l.kernel; !h.fn.admits(l.args) {
+				h.fn = h.fn.plain()
+			}
+		} else {
+			h.c.resuming = true
+		}
+		var ct ctrl
+		ct, err = h.c.enter(h.fn, l.args)
+		barrier = ct == ctrlBarrier
+	}
+	l.budget = h.c.budget
+	return barrier, err
 }
 
 func (l *launch) runGroupLockstep(grp [3]int64) error {
@@ -188,11 +228,11 @@ func (l *launch) runGroupLockstep(grp [3]int64) error {
 	n := 0
 	l.localIter(func(lid [3]int64) {
 		if n == len(l.items) {
-			l.items = append(l.items, l.startWorkItem())
+			l.items = append(l.items, l.newWorkItem())
 		}
 		h := l.items[n]
 		n++
-		h.done = false
+		h.fn, h.done = nil, false
 		l.bind(&h.c, grp, lid)
 		l.prof.WorkItems++
 	})
@@ -205,13 +245,12 @@ func (l *launch) runGroupLockstep(grp [3]int64) error {
 			if h.done {
 				continue
 			}
-			h.resume <- struct{}{}
-			r := <-h.report
-			if r.err != nil && r.err != errCancelled && firstErr == nil {
-				firstErr = r.err
+			barrier, err := l.phase(h)
+			if err != nil && err != errCancelled && firstErr == nil {
+				firstErr = err
 				l.cancel = true
 			}
-			if r.barrier {
+			if barrier {
 				barriers++
 			} else {
 				h.done = true

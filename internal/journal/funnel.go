@@ -37,6 +37,21 @@ type SuiteStats struct {
 // MeanBest returns the mean oracle (faster-device) runtime in ms.
 func (s SuiteStats) MeanBest() float64 { return mean(s.Bestms, s.Count) }
 
+// CheckCost sums the checked events of one checker verdict or run-failure
+// class: the checks, the interpreter steps they consumed and their wall
+// time in ms.
+type CheckCost struct {
+	Checks int
+	Steps  int64
+	WallMS float64
+}
+
+func (c *CheckCost) add(e Event) {
+	c.Checks++
+	c.Steps += e.Steps
+	c.WallMS += e.DurMS
+}
+
 // LatencyStats summarizes the wall durations of one stage, in ms.
 type LatencyStats struct {
 	Count         int
@@ -83,6 +98,10 @@ type FunnelReport struct {
 	LoadFailures int
 	Checks       int
 	Verdicts     map[string]int // checker verdict -> count
+	// VerdictCost and ClassCost attribute the checks' steps and wall time
+	// to their verdicts and to the failure classes of run failures.
+	VerdictCost map[string]*CheckCost
+	ClassCost   map[string]*CheckCost
 
 	Measured int
 	Systems  map[string]*SystemStats
@@ -195,6 +214,8 @@ func Funnel(events []Event) *FunnelReport {
 		FeatureDelta:       map[string]float64{},
 		Agreement:          map[AgreementCell]int{},
 		Verdicts:           map[string]int{},
+		VerdictCost:        map[string]*CheckCost{},
+		ClassCost:          map[string]*CheckCost{},
 		FootprintTightness: map[string]int{},
 		Systems:            map[string]*SystemStats{},
 		Suites:             map[string]*SuiteStats{},
@@ -315,6 +336,10 @@ func Funnel(events []Event) *FunnelReport {
 			r.Checks++
 			r.Verdicts[e.Verdict]++
 			checked[e.ID] = append(checked[e.ID], e.Verdict)
+			costOf(r.VerdictCost, e.Verdict).add(e)
+			if e.Class != "" {
+				costOf(r.ClassCost, e.Class).add(e)
+			}
 		case StageMeasured:
 			r.Measured++
 			sys := r.Systems[e.System]
@@ -400,6 +425,23 @@ func agreeCell(c AgreementCell) bool {
 		return true
 	}
 	return c.Predicted == "" && c.Actual == "useful work"
+}
+
+func costOf(m map[string]*CheckCost, key string) *CheckCost {
+	if m[key] == nil {
+		m[key] = &CheckCost{}
+	}
+	return m[key]
+}
+
+// stepsCounted reports whether any checked event carried interpreter steps.
+func (r *FunnelReport) stepsCounted() bool {
+	for _, c := range r.VerdictCost {
+		if c.Steps > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func minF(a, b float64) float64 {
@@ -493,6 +535,18 @@ func (r *FunnelReport) Render() string {
 		fmt.Fprintf(&b, "checker   %6d checks -> %5d useful work (%.1f%%, §5.2)\n",
 			r.Checks, r.Verdicts["useful work"], r.UsefulRate()*100)
 		writeReasons(&b, r.Verdicts)
+	}
+	if r.stepsCounted() {
+		fmt.Fprintf(&b, "check cost %26s %12s %10s\n", "checks", "steps", "wall ms")
+		row := func(name string, c *CheckCost) {
+			fmt.Fprintf(&b, "  %-28s %6d %12d %10.1f\n", name, c.Checks, c.Steps, c.WallMS)
+		}
+		for _, v := range sortedKeys(r.VerdictCost) {
+			row(v, r.VerdictCost[v])
+		}
+		for _, class := range sortedKeys(r.ClassCost) {
+			row("failure "+class, r.ClassCost[class])
+		}
 	}
 	if r.Measured > 0 {
 		fmt.Fprintf(&b, "measured  %6d measurements\n", r.Measured)

@@ -123,6 +123,50 @@ func featureFixtureEvents() []Event {
 	)
 }
 
+// costFixtureEvents is a journal of checks that carry interpreter steps:
+// two useful, one without output and a run failure of every class.
+func costFixtureEvents() []Event {
+	return []Event{
+		{ID: "k1", Stage: StageChecked, Verdict: "useful work", Steps: 1200, DurMS: 20},
+		{ID: "k2", Stage: StageChecked, Verdict: "useful work", Steps: 800, DurMS: 10},
+		{ID: "k3", Stage: StageChecked, Verdict: "no output", Steps: 300, DurMS: 4},
+		{ID: "k4", Stage: StageChecked, Verdict: "run failure", Class: "step-limit", Steps: 65537, DurMS: 500},
+		{ID: "k5", Stage: StageChecked, Verdict: "run failure", Class: "fault", Steps: 90, DurMS: 2},
+		{ID: "k6", Stage: StageChecked, Verdict: "run failure", Class: "barrier-divergence", Steps: 40, DurMS: 1},
+		{ID: "k7", Stage: StageChecked, Verdict: "run failure", Class: "other", Steps: 70, DurMS: 1.5},
+	}
+}
+
+func TestFunnelCostGolden(t *testing.T) {
+	checkGolden(t, "funnel_cost.golden", Funnel(costFixtureEvents()).Render())
+}
+
+// TestFunnelCost checks the checks, steps and wall time attributed to
+// each verdict and each run-failure class.
+func TestFunnelCost(t *testing.T) {
+	r := Funnel(costFixtureEvents())
+	wantVerdicts := map[string]*CheckCost{
+		"useful work": {Checks: 2, Steps: 2000, WallMS: 30},
+		"no output":   {Checks: 1, Steps: 300, WallMS: 4},
+		"run failure": {Checks: 4, Steps: 65737, WallMS: 504.5},
+	}
+	wantClasses := map[string]*CheckCost{
+		"step-limit":         {Checks: 1, Steps: 65537, WallMS: 500},
+		"fault":              {Checks: 1, Steps: 90, WallMS: 2},
+		"barrier-divergence": {Checks: 1, Steps: 40, WallMS: 1},
+		"other":              {Checks: 1, Steps: 70, WallMS: 1.5},
+	}
+	if !reflect.DeepEqual(r.VerdictCost, wantVerdicts) {
+		t.Errorf("VerdictCost = %v, want %v", r.VerdictCost, wantVerdicts)
+	}
+	if !reflect.DeepEqual(r.ClassCost, wantClasses) {
+		t.Errorf("ClassCost = %v, want %v", r.ClassCost, wantClasses)
+	}
+	if strings.Contains(Funnel(fixtureEvents()).Render(), "check cost") {
+		t.Error("a journal without steps renders a cost table")
+	}
+}
+
 func checkGolden(t *testing.T, name string, got string) {
 	t.Helper()
 	golden := filepath.Join("testdata", name)

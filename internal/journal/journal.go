@@ -214,6 +214,9 @@ type Event struct {
 	// consumed, the failing one included (0 for a verdict reached without
 	// executing).
 	Steps int64 `json:"steps,omitempty"`
+	// Class is a run-failure checked stage's failure class: "step-limit",
+	// "fault", "barrier-divergence" or "other".
+	Class string `json:"class,omitempty"`
 	// CPUms / GPUms are modeled device runtimes of a measured stage.
 	CPUms float64 `json:"cpu_ms,omitempty"`
 	GPUms float64 `json:"gpu_ms,omitempty"`
@@ -606,6 +609,9 @@ func describe(e Event) string {
 		}
 	case StageChecked:
 		s += fmt.Sprintf(" verdict=%q size=%d seed=%d", e.Verdict, e.Size, e.Seed)
+		if e.Class != "" {
+			s += " class=" + e.Class
+		}
 		if e.Fault != nil {
 			op := "read"
 			if e.Fault.Write {
