@@ -6,21 +6,23 @@
 // Usage:
 //
 //	clperf record [-history H] [-component C] report.json
-//	    Flatten a RunReport's stage tree into per-stage totals, stamp it
-//	    with the machine (GOMAXPROCS, NumCPU, go version) and git
-//	    revision, and append it to the JSONL history (default
-//	    PERF_HISTORY.jsonl).
+//	    Flatten a RunReport's stage tree into per-stage wall (and, under
+//	    -perf, CPU) seconds, stamp it with the machine (GOMAXPROCS,
+//	    NumCPU, go version) and git revision, and append it to the JSONL
+//	    history (default PERF_HISTORY.jsonl).
 //
 //	clperf history [-stage S] H
 //	    Print the run trajectory, one row per recorded run.
 //
 //	clperf diff [-threshold pct] [-min-seconds s] H
 //	    Gate the newest record against the median of earlier runs from
-//	    the same component AND the same machine stamp. A stage regresses
-//	    only when it exceeds the baseline by both the relative threshold
-//	    (default 75%) and the absolute floor (default 0.1s) — so short
-//	    noisy stages don't flap the gate. Exits 1 on regression, 0 when
-//	    clean or when no comparable baseline exists yet.
+//	    the same component AND the same machine stamp. A stage's wall
+//	    time regresses only when it exceeds the baseline by both the
+//	    relative threshold (default 75%) and the absolute floor (default
+//	    0.1s) — so short noisy stages don't flap the gate. Tolerances are
+//	    used as given; a negative one is an error. Exits 1 on regression,
+//	    0 when clean or when no comparable baseline exists yet, 2 on an
+//	    error.
 package main
 
 import (
@@ -99,8 +101,8 @@ func record(args []string) error {
 	if err := perf.Append(*historyPath, rec); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %s: %d stage(s), %.3fs total -> %s\n",
-		rec.Component, len(rec.Stages), rec.Seconds, *historyPath)
+	fmt.Printf("recorded %s: %d metric(s), %.3fs total -> %s\n",
+		rec.Component, len(rec.Metrics), rep.Seconds, *historyPath)
 	return nil
 }
 
@@ -137,7 +139,7 @@ func diff(args []string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	rep, err := perf.Diff(recs, *threshold, *minSeconds)
+	rep, err := perf.Diff(recs, perf.StageRules(*threshold, *minSeconds))
 	if err != nil {
 		return false, err
 	}

@@ -30,13 +30,15 @@
 //	    per-suite confusion matrices (from predicted events).
 //
 //	cltrace model record -history h.jsonl run.jsonl
-//	    Append the run's evaluation summaries as one history record.
+//	    Append the run's evaluation accuracies and geomean speedups as one
+//	    record of the run history clperf also uses (internal/perf).
 //
 //	cltrace model diff [-accuracy-pp pp] [-speedup-pct pct] h.jsonl
 //	    Gate the newest history record against the median of comparable
 //	    (same-machine) predecessors. Exits 1 when any evaluation's
 //	    accuracy drops more than -accuracy-pp percentage points or its
-//	    geomean speedup more than -speedup-pct percent.
+//	    geomean speedup more than -speedup-pct percent, and 2 on an error
+//	    such as a negative tolerance.
 //
 //	cltrace model history h.jsonl
 //	    Per-record accuracy/speedup trajectory.
@@ -164,13 +166,13 @@ func modelRecord(args []string) error {
 		return err
 	}
 	rec := mlobs.BuildRecord(events, perf.GitRev())
-	if len(rec.Evals) == 0 {
+	if len(rec.Metrics) == 0 {
 		return fmt.Errorf("journal %s has no predicted events to record", fs.Arg(0))
 	}
-	if err := mlobs.Append(*history, rec); err != nil {
+	if err := perf.Append(*history, rec); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d evaluation(s) to %s\n", len(rec.Evals), *history)
+	fmt.Printf("recorded %d metric(s) to %s\n", len(rec.Metrics), *history)
 	return nil
 }
 
@@ -186,16 +188,16 @@ func modelDiff(args []string) (bool, error) {
 	if fs.NArg() != 1 {
 		return false, fmt.Errorf("model diff needs exactly one history path")
 	}
-	history, err := mlobs.ReadHistory(fs.Arg(0))
+	history, err := perf.ReadHistory(fs.Arg(0))
 	if err != nil {
 		return false, err
 	}
-	rep, err := mlobs.Diff(history, *accPP, *spdPct)
+	rep, err := perf.Diff(history, mlobs.Rules(*accPP, *spdPct))
 	if err != nil {
 		return false, err
 	}
 	rep.Render(os.Stdout)
-	return !rep.OK(), nil
+	return rep.Regressions > 0, nil
 }
 
 func modelHistory(args []string) error {
@@ -206,11 +208,11 @@ func modelHistory(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("model history needs exactly one history path")
 	}
-	history, err := mlobs.ReadHistory(fs.Arg(0))
+	history, err := perf.ReadHistory(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	mlobs.RenderHistory(os.Stdout, history)
+	perf.RenderHistory(os.Stdout, history, "")
 	return nil
 }
 

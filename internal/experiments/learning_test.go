@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"clgen/internal/journal"
+	"clgen/internal/mlobs"
+	"clgen/internal/perf"
 )
 
 // filterStages keeps only the events in the given stages, preserving order.
@@ -94,5 +96,28 @@ func TestLearningEventsDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("prediction %d fold %q (workers=1) vs %q (workers=8)",
 				i, want.predicted[i].Fold, got.predicted[i].Fold)
 		}
+	}
+
+	// The run-history gate under the model rule, as `make model-smoke`
+	// drives it with binaries: workers=8 gates clean against workers=1,
+	// and the same events with every predicted device flipped trip it.
+	gate := func(newest []journal.Event) *perf.DiffReport {
+		t.Helper()
+		hist := []perf.Record{mlobs.BuildRecord(want.predicted, ""), mlobs.BuildRecord(newest, "")}
+		rep, err := perf.Diff(hist, mlobs.Rules(mlobs.DefaultAccuracyPP, mlobs.DefaultSpeedupPct))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if rep := gate(got.predicted); len(rep.Metrics) == 0 || rep.Regressions != 0 {
+		t.Errorf("workers=8 evaluations did not gate clean against workers=1: %+v", rep)
+	}
+	flipped := append([]journal.Event(nil), got.predicted...)
+	for i := range flipped {
+		flipped[i].Predicted = map[string]string{"CPU": "GPU", "GPU": "CPU"}[flipped[i].Predicted]
+	}
+	if rep := gate(flipped); rep.Regressions == 0 {
+		t.Errorf("flipped predictions did not trip the gate: %+v", rep.Metrics)
 	}
 }

@@ -11,9 +11,8 @@
 //   - evaluation reporting: Report aggregates a journal's trained and
 //     predicted events into training curves, per-suite confusion
 //     matrices, and accuracy/speedup tables (`cltrace model report`);
-//   - regression gating: BuildRecord/Append/Diff keep a clperf-style
-//     JSONL history of evaluation summaries and gate the newest run
-//     against the median of comparable predecessors
+//   - regression gating: BuildRecord turns the evaluations into metrics
+//     of internal/perf's run history, and Rules gates them there
 //     (`cltrace model record` / `cltrace model diff`).
 //
 // Training-side events (the per-epoch trained stream with model lineage

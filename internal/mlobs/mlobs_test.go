@@ -12,6 +12,7 @@ import (
 	"clgen/internal/grewe"
 	"clgen/internal/interp"
 	"clgen/internal/journal"
+	"clgen/internal/perf"
 	"clgen/internal/platform"
 	"clgen/internal/telemetry"
 )
@@ -156,88 +157,54 @@ func TestReportAggregation(t *testing.T) {
 	}
 }
 
-func rec(acc, speedup float64) Record {
-	return Record{
-		Time: time.Unix(0, 0),
-		Env:  telemetry.Env(),
-		Evals: []EvalSummary{{
-			Experiment: "figure7", System: "AMD", Variant: "grewe",
-			N: 20, Correct: int(acc * 20), Accuracy: acc, GeomeanSpeedup: speedup,
-		}},
+// rec is a model record of one evaluation: accuracy in percent and
+// geomean speedup.
+func rec(acc, speedup float64) perf.Record {
+	return perf.Record{
+		Time:      time.Unix(0, 0),
+		Component: "model",
+		Env:       telemetry.Env(),
+		Metrics: map[string]float64{
+			"figure7 / AMD / grewe accuracy": acc,
+			"figure7 / AMD / grewe speedup":  speedup,
+		},
 	}
 }
 
+// TestDiffGate gates model records under Rules against a baseline of two
+// identical runs at 80% accuracy and a 2x geomean speedup.
 func TestDiffGate(t *testing.T) {
-	// Identical reruns gate clean.
-	hist := []Record{rec(0.8, 2.0), rec(0.8, 2.0), rec(0.8, 2.0)}
-	d, err := Diff(hist, 2, 5)
-	if err != nil {
-		t.Fatal(err)
+	def := Rules(DefaultAccuracyPP, DefaultSpeedupPct)
+	cases := []struct {
+		name   string
+		rules  map[string]perf.Rule
+		newest perf.Record
+		want   string // the metric that regresses, or ""
+	}{
+		{"identical rerun", def, rec(80, 2), ""},
+		{"accuracy collapse", def, rec(40, 2), "figure7 / AMD / grewe accuracy"},
+		{"speedup collapse", def, rec(80, 1), "figure7 / AMD / grewe speedup"},
+		{"within tolerances", def, rec(78.5, 1.92), ""},
+		{"improvement", def, rec(90, 3), ""},
+		{"zero tolerances", Rules(0, 0), rec(79.9, 2), "figure7 / AMD / grewe accuracy"},
 	}
-	if !d.OK() {
-		t.Fatalf("identical history tripped the gate: %+v", d.Evals)
+	for _, c := range cases {
+		d, err := perf.Diff([]perf.Record{rec(80, 2), rec(80, 2), c.newest}, c.rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got string
+		for _, m := range d.Metrics {
+			if m.Regressed {
+				got += m.Metric
+			}
+		}
+		if len(d.Metrics) != 2 || got != c.want {
+			t.Errorf("%s: regressed %q, want %q: %+v", c.name, got, c.want, d.Metrics)
+		}
 	}
-	// Accuracy collapse trips it.
-	d, err = Diff(append(hist[:2:2], rec(0.4, 2.0)), 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.OK() || d.Regressions != 1 {
-		t.Fatalf("accuracy drop did not trip the gate: %+v", d.Evals)
-	}
-	if !strings.Contains(d.Evals[0].Why, "accuracy") {
-		t.Fatalf("why = %q", d.Evals[0].Why)
-	}
-	// Speedup collapse trips it too.
-	d, err = Diff(append(hist[:2:2], rec(0.8, 1.0)), 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.OK() {
-		t.Fatalf("speedup drop did not trip the gate: %+v", d.Evals)
-	}
-	// Small jitter within thresholds stays clean.
-	d, err = Diff(append(hist[:2:2], rec(0.79, 1.96)), 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.OK() {
-		t.Fatalf("within-threshold change tripped the gate: %+v", d.Evals)
-	}
-	// A record from a different machine forms no baseline.
-	other := rec(0.8, 2.0)
-	other.Env.NumCPU++
-	d, err = Diff([]Record{other, rec(0.8, 2.0)}, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.NoBaseline {
-		t.Fatal("cross-machine record formed a baseline")
-	}
-}
-
-func TestHistoryRoundTrip(t *testing.T) {
-	path := t.TempDir() + "/hist.jsonl"
-	if err := Append(path, rec(0.8, 2.0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := Append(path, rec(0.75, 1.9)); err != nil {
-		t.Fatal(err)
-	}
-	hist, err := ReadHistory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != 2 {
-		t.Fatalf("read %d records", len(hist))
-	}
-	if hist[1].Evals[0].Accuracy != 0.75 {
-		t.Fatalf("round-trip accuracy %v", hist[1].Evals[0].Accuracy)
-	}
-	var b strings.Builder
-	RenderHistory(&b, hist)
-	if !strings.Contains(b.String(), "figure7 / AMD / grewe") {
-		t.Fatalf("history render missing eval key:\n%s", b.String())
+	if _, err := perf.Diff([]perf.Record{rec(80, 2)}, Rules(-1, 5)); err == nil {
+		t.Error("negative accuracy tolerance accepted")
 	}
 }
 
@@ -245,10 +212,27 @@ func TestBuildRecordFromEvents(t *testing.T) {
 	events := []journal.Event{
 		{Stage: journal.StagePredicted, Experiment: "figure7", System: "AMD", Variant: "grewe",
 			Predicted: "GPU", Oracle: "GPU", Speedup: 2},
+		{Stage: journal.StagePredicted, Experiment: "figure7", System: "AMD", Variant: "grewe",
+			Predicted: "CPU", Oracle: "GPU", Speedup: 8},
+		{Stage: journal.StagePredicted, Experiment: "table1", System: "NVIDIA", Variant: "grewe",
+			Predicted: "CPU", Oracle: "CPU"},
 	}
 	r := BuildRecord(events, "abc1234")
-	if r.GitRev != "abc1234" || len(r.Evals) != 1 || r.Evals[0].Accuracy != 1 {
-		t.Fatalf("record wrong: %+v", r)
+	if r.GitRev != "abc1234" || r.Component != "model" {
+		t.Fatalf("record header wrong: %+v", r)
+	}
+	want := map[string]float64{
+		"figure7 / AMD / grewe accuracy":   50,
+		"figure7 / AMD / grewe speedup":    4, // geomean(2, 8)
+		"table1 / NVIDIA / grewe accuracy": 100,
+	}
+	if len(r.Metrics) != len(want) {
+		t.Fatalf("metrics = %v, want %v", r.Metrics, want)
+	}
+	for name, v := range want {
+		if math.Abs(r.Metrics[name]-v) > 1e-9 {
+			t.Errorf("%s = %v, want %v", name, r.Metrics[name], v)
+		}
 	}
 	if r.Env == (telemetry.EnvInfo{}) {
 		t.Fatal("record missing machine stamp")

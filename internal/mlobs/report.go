@@ -5,8 +5,11 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"clgen/internal/journal"
+	"clgen/internal/perf"
+	"clgen/internal/telemetry"
 )
 
 // EpochPoint is one point of a training curve.
@@ -228,5 +231,50 @@ func renderConfusion(b *strings.Builder, conf map[string]int) {
 			fmt.Fprintf(b, " %6d", conf[p+"->"+o])
 		}
 		b.WriteString("\n")
+	}
+}
+
+// Gate defaults for `cltrace model diff`. The evaluations are
+// deterministic for a fixed seed, so identical-seed reruns always gate
+// clean; the tolerances absorb intentional small shifts (corpus-
+// composition changes from upstream PRs) while catching real model
+// regressions.
+const (
+	// DefaultAccuracyPP is the accuracy drop, in percentage points, that
+	// fails the gate.
+	DefaultAccuracyPP = 2.0
+	// DefaultSpeedupPct is the relative geomean-speedup drop, in percent,
+	// that fails the gate.
+	DefaultSpeedupPct = 5.0
+)
+
+// BuildRecord turns a journal's evaluations into a run-history record
+// stamped with the current machine: per evaluation, "<key> accuracy" in
+// percent and, when its events carry speedups, "<key> speedup", the
+// geomean speedup over the static baseline.
+func BuildRecord(events []journal.Event, gitRev string) perf.Record {
+	rec := perf.Record{
+		Time:      time.Now(),
+		Component: "model",
+		GitRev:    gitRev,
+		Env:       telemetry.Env(),
+		Metrics:   map[string]float64{},
+	}
+	for _, s := range Report(events).Evals {
+		rec.Metrics[s.Key()+" accuracy"] = s.Accuracy * 100
+		if s.GeomeanSpeedup > 0 {
+			rec.Metrics[s.Key()+" speedup"] = s.GeomeanSpeedup
+		}
+	}
+	return rec
+}
+
+// Rules gates an evaluation when its accuracy drops by more than
+// accuracyPP percentage points or its geomean speedup by more than
+// speedupPct percent.
+func Rules(accuracyPP, speedupPct float64) map[string]perf.Rule {
+	return map[string]perf.Rule{
+		"accuracy": {LowerIsWorse: true, Abs: accuracyPP},
+		"speedup":  {LowerIsWorse: true, RelPct: speedupPct},
 	}
 }

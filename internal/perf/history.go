@@ -13,50 +13,48 @@ import (
 	"clgen/internal/telemetry"
 )
 
-// Diff defaults: a stage regresses only when it is BOTH thresholdPct
-// slower than the baseline median AND at least minSeconds slower in
-// absolute terms. The generous defaults keep short noisy stages (a few
-// ms of scheduler jitter is easily 2x) from tripping the gate; tighten
-// them per-invocation for long deterministic benchmarks.
+// Stage gate defaults: a stage regresses only when it is BOTH
+// DefaultThresholdPct slower than the baseline median AND more than
+// DefaultMinSeconds slower in absolute terms. The generous defaults keep
+// short noisy stages (a few ms of scheduler jitter is easily 2x) from
+// tripping the gate; tighten them per-invocation for long deterministic
+// benchmarks.
 const (
 	DefaultThresholdPct = 75
 	DefaultMinSeconds   = 0.1
 )
 
-// StageProfile is one stage's flattened totals in a history record.
-type StageProfile struct {
-	Seconds        float64 `json:"s"`
-	Count          int     `json:"n"`
-	CPUSeconds     float64 `json:"cpu_s,omitempty"`
-	AllocBytes     int64   `json:"alloc_b,omitempty"`
-	GCPauseSeconds float64 `json:"gc_pause_s,omitempty"`
-}
+// Stage metrics are named "<stage> wall_s" and "<stage> cpu_s" (the CPU
+// time, recorded only when the run had -perf set); the run's wall time is
+// "(total) wall_s".
+const (
+	wallMeasure = "wall_s"
+	cpuMeasure  = "cpu_s"
+	totalStage  = "(total)"
+)
 
-// Record is one run's perf profile: a machine stamp plus per-stage
-// totals. clperf record appends these to a JSONL history; clperf diff
-// compares the newest record against the median of comparable (same
-// machine, same component) predecessors.
+// Record is one run in a history: a machine stamp plus named numbers. A
+// metric's name is "<subject> <measure>"; its measure (the text after the
+// last space) selects the Rule that gates it.
 type Record struct {
-	Time      time.Time               `json:"t"`
-	Component string                  `json:"component"`
-	GitRev    string                  `json:"git_rev,omitempty"`
-	Env       telemetry.EnvInfo       `json:"env"`
-	Seconds   float64                 `json:"seconds"`
-	Stages    map[string]StageProfile `json:"stages,omitempty"`
+	Time      time.Time          `json:"t"`
+	Component string             `json:"component"`
+	GitRev    string             `json:"git_rev,omitempty"`
+	Env       telemetry.EnvInfo  `json:"env"`
+	Metrics   map[string]float64 `json:"metrics"`
 }
 
 // BuildRecord flattens a RunReport's stage tree into per-stage totals,
-// summing spans that share a name (parallel stages open many). Perf
-// attrs (cpu_s, alloc_bytes, gc_pause_s) are carried over when present —
-// i.e. when the run had -perf set.
+// summing spans that share a name (parallel stages open many). CPU
+// seconds are carried over when the spans have them, i.e. when the run
+// had -perf set.
 func BuildRecord(rep *telemetry.RunReport, gitRev string) Record {
 	rec := Record{
 		Time:      rep.End,
 		Component: rep.Component,
 		GitRev:    gitRev,
 		Env:       rep.Env,
-		Seconds:   rep.Seconds,
-		Stages:    map[string]StageProfile{},
+		Metrics:   map[string]float64{totalStage + " " + wallMeasure: rep.Seconds},
 	}
 	if rec.Env == (telemetry.EnvInfo{}) {
 		// Pre-Env reports: stamp the recording machine so diff still has
@@ -67,13 +65,10 @@ func BuildRecord(rep *telemetry.RunReport, gitRev string) Record {
 	var walk func(nodes []telemetry.StageNode)
 	walk = func(nodes []telemetry.StageNode) {
 		for _, n := range nodes {
-			p := rec.Stages[n.Name]
-			p.Seconds += n.Seconds
-			p.Count++
-			p.CPUSeconds += attrFloat(n.Attrs, "cpu_s")
-			p.AllocBytes += int64(attrFloat(n.Attrs, "alloc_bytes"))
-			p.GCPauseSeconds += attrFloat(n.Attrs, "gc_pause_s")
-			rec.Stages[n.Name] = p
+			rec.Metrics[n.Name+" "+wallMeasure] += n.Seconds
+			if cpu, _ := n.Attrs["cpu_s"].(float64); cpu > 0 {
+				rec.Metrics[n.Name+" "+cpuMeasure] += cpu
+			}
 			walk(n.Children)
 		}
 	}
@@ -81,21 +76,11 @@ func BuildRecord(rep *telemetry.RunReport, gitRev string) Record {
 	return rec
 }
 
-// attrFloat reads a numeric attr whatever Go or JSON type it arrived as.
-func attrFloat(attrs map[string]any, key string) float64 {
-	switch v := attrs[key].(type) {
-	case float64:
-		return v
-	case int:
-		return float64(v)
-	case int64:
-		return float64(v)
-	case json.Number:
-		f, _ := v.Float64()
-		return f
-	default:
-		return 0
-	}
+// StageRules gates stage wall times: more than thresholdPct percent and
+// more than minSeconds slower than the baseline. CPU seconds are shown
+// by RenderHistory but not gated.
+func StageRules(thresholdPct, minSeconds float64) map[string]Rule {
+	return map[string]Rule{wallMeasure: {RelPct: thresholdPct, Abs: minSeconds}}
 }
 
 // Append appends rec as one JSON line to the history at path, creating
@@ -117,8 +102,8 @@ func Append(path string, rec Record) error {
 }
 
 // ReadHistory loads all records from the JSONL history at path, oldest
-// first. Blank lines are skipped; a malformed line is an error (the
-// history is machine-written).
+// first. Blank lines are skipped; a malformed line, or a record with no
+// metrics (which would gate nothing), is an error naming its line.
 func ReadHistory(path string) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -139,6 +124,9 @@ func ReadHistory(path string) ([]Record, error) {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			return nil, fmt.Errorf("perf: history %s line %d: %w", path, lineNo, err)
 		}
+		if len(rec.Metrics) == 0 {
+			return nil, fmt.Errorf("perf: history %s line %d: record has no metrics", path, lineNo)
+		}
 		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
@@ -147,50 +135,61 @@ func ReadHistory(path string) ([]Record, error) {
 	return out, nil
 }
 
-// StageDiff compares one stage between the newest record and its
+// Rule gates the metrics of one measure. A metric regresses when it is
+// worse than its baseline median by more than RelPct percent of the
+// median AND by more than Abs in the metric's own unit. Tolerances are
+// used as given: a zero tolerance lets no worsening through, so a rule
+// that needs only one tolerance leaves the other zero.
+type Rule struct {
+	LowerIsWorse bool
+	RelPct       float64
+	Abs          float64
+}
+
+// String renders the rule as the diff header shows it.
+func (r Rule) String() string {
+	dir := "higher"
+	if r.LowerIsWorse {
+		dir = "lower"
+	}
+	return fmt.Sprintf("%s by >%g%% and >%g", dir, r.RelPct, r.Abs)
+}
+
+// MetricDiff compares one metric between the newest record and its
 // baseline median.
-type StageDiff struct {
-	Stage        string  `json:"stage"`
-	BaseSeconds  float64 `json:"base_seconds"`
-	NewSeconds   float64 `json:"new_seconds"`
-	DeltaPct     float64 `json:"delta_pct"`
-	BaselineRuns int     `json:"baseline_runs"`
-	Regressed    bool    `json:"regressed"`
+type MetricDiff struct {
+	Metric    string
+	Base, New float64
+	DeltaPct  float64
+	Regressed bool
 }
 
 // DiffReport is the outcome of gating the newest history record against
 // comparable predecessors.
 type DiffReport struct {
-	Component    string      `json:"component"`
-	ThresholdPct float64     `json:"threshold_pct"`
-	MinSeconds   float64     `json:"min_seconds"`
-	BaselineRuns int         `json:"baseline_runs"`
-	NoBaseline   bool        `json:"no_baseline"`
-	Stages       []StageDiff `json:"stages,omitempty"`
-	Regressions  int         `json:"regressions"`
+	Component    string
+	Rules        map[string]Rule
+	BaselineRuns int
+	Metrics      []MetricDiff
+	Regressions  int
 }
 
 // Diff gates the newest record in history against the median of earlier
 // records with the same component AND the same machine stamp — cross-
 // machine comparisons are meaningless, so they simply don't form a
-// baseline. A stage (or the run total) regresses when it exceeds the
-// baseline median by both thresholdPct percent and minSeconds seconds.
-func Diff(history []Record, thresholdPct, minSeconds float64) (*DiffReport, error) {
-	if thresholdPct <= 0 {
-		thresholdPct = DefaultThresholdPct
-	}
-	if minSeconds < 0 {
-		minSeconds = DefaultMinSeconds
+// baseline. Each metric of the newest record whose measure has a rule is
+// gated by it; a metric no baseline record has is new, and skipped.
+func Diff(history []Record, rules map[string]Rule) (*DiffReport, error) {
+	for measure, r := range rules {
+		if r.RelPct < 0 || r.Abs < 0 {
+			return nil, fmt.Errorf("perf: %s rule has a negative tolerance: %s", measure, r)
+		}
 	}
 	if len(history) == 0 {
 		return nil, fmt.Errorf("perf: history is empty")
 	}
 	newest := history[len(history)-1]
-	rep := &DiffReport{
-		Component:    newest.Component,
-		ThresholdPct: thresholdPct,
-		MinSeconds:   minSeconds,
-	}
+	rep := &DiffReport{Component: newest.Component, Rules: rules}
 	var base []Record
 	for _, r := range history[:len(history)-1] {
 		if r.Component == newest.Component && r.Env == newest.Env {
@@ -199,53 +198,36 @@ func Diff(history []Record, thresholdPct, minSeconds float64) (*DiffReport, erro
 	}
 	rep.BaselineRuns = len(base)
 	if len(base) == 0 {
-		rep.NoBaseline = true
 		return rep, nil
 	}
-
-	// "(total)" rides alongside the per-stage rows using the same rule.
-	stageSet := map[string]bool{}
-	for name := range newest.Stages {
-		stageSet[name] = true
-	}
-	names := make([]string, 0, len(stageSet)+1)
-	for name := range stageSet {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	names = append(names, "(total)")
-
-	for _, name := range names {
+	for _, name := range sortedKeys(newest.Metrics) {
+		_, measure := splitMetric(name)
+		rule, ok := rules[measure]
+		if !ok {
+			continue
+		}
 		var samples []float64
 		for _, r := range base {
-			if name == "(total)" {
-				samples = append(samples, r.Seconds)
-			} else if p, ok := r.Stages[name]; ok {
-				samples = append(samples, p.Seconds)
+			if v, ok := r.Metrics[name]; ok {
+				samples = append(samples, v)
 			}
 		}
 		if len(samples) == 0 {
-			continue // stage is new in this run: nothing to regress against
+			continue
 		}
-		baseSec := median(samples)
-		newSec := newest.Seconds
-		if name != "(total)" {
-			newSec = newest.Stages[name].Seconds
+		d := MetricDiff{Metric: name, Base: median(samples), New: newest.Metrics[name]}
+		if d.Base != 0 {
+			d.DeltaPct = (d.New - d.Base) / d.Base * 100
 		}
-		d := StageDiff{
-			Stage:        name,
-			BaseSeconds:  baseSec,
-			NewSeconds:   newSec,
-			BaselineRuns: len(samples),
+		worse := d.New - d.Base
+		if rule.LowerIsWorse {
+			worse = -worse
 		}
-		if baseSec > 0 {
-			d.DeltaPct = (newSec - baseSec) / baseSec * 100
-		}
-		d.Regressed = newSec > baseSec*(1+thresholdPct/100) && newSec-baseSec > minSeconds
+		d.Regressed = worse > rule.Abs && worse > d.Base*rule.RelPct/100
 		if d.Regressed {
 			rep.Regressions++
 		}
-		rep.Stages = append(rep.Stages, d)
+		rep.Metrics = append(rep.Metrics, d)
 	}
 	return rep, nil
 }
@@ -260,62 +242,74 @@ func median(v []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// splitMetric splits a metric name "<subject> <measure>" at its last
+// space.
+func splitMetric(name string) (subject, measure string) {
+	i := strings.LastIndexByte(name, ' ')
+	if i < 0 {
+		return "", name
+	}
+	return name[:i], name[i+1:]
+}
+
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Render writes the diff as an aligned table with a one-line verdict.
 func (r *DiffReport) Render(w io.Writer) {
-	if r.NoBaseline {
+	if r.BaselineRuns == 0 {
 		fmt.Fprintf(w, "no comparable baseline for component %q on this machine — nothing to gate\n", r.Component)
 		return
 	}
-	fmt.Fprintf(w, "perf diff: %s vs median of %d baseline run(s)  (threshold +%g%% and +%gs)\n",
-		r.Component, r.BaselineRuns, r.ThresholdPct, r.MinSeconds)
-	fmt.Fprintf(w, "%-32s %12s %12s %9s\n", "STAGE", "BASE", "NEW", "DELTA")
-	for _, d := range r.Stages {
+	rules := make([]string, 0, len(r.Rules))
+	for measure, rule := range r.Rules {
+		rules = append(rules, measure+" "+rule.String())
+	}
+	sort.Strings(rules)
+	fmt.Fprintf(w, "%s diff vs median of %d baseline run(s)  (regression: %s)\n",
+		r.Component, r.BaselineRuns, strings.Join(rules, "; "))
+	fmt.Fprintf(w, "%-48s %11s %11s %11s %10s\n", "METRIC", "BASE", "NEW", "DELTA", "DELTA%")
+	for _, d := range r.Metrics {
 		mark := ""
 		if d.Regressed {
 			mark = "  << REGRESSION"
 		}
-		fmt.Fprintf(w, "%-32s %11.3fs %11.3fs %+8.1f%%%s\n",
-			d.Stage, d.BaseSeconds, d.NewSeconds, d.DeltaPct, mark)
+		fmt.Fprintf(w, "%-48s %11.3f %11.3f %+11.3f %+9.1f%%%s\n",
+			d.Metric, d.Base, d.New, d.New-d.Base, d.DeltaPct, mark)
 	}
 	if r.Regressions > 0 {
-		fmt.Fprintf(w, "FAIL: %d stage(s) regressed\n", r.Regressions)
+		fmt.Fprintf(w, "FAIL: %d metric(s) regressed\n", r.Regressions)
 	} else {
 		fmt.Fprintf(w, "OK: no regressions\n")
 	}
 }
 
-// RenderHistory writes the per-stage trajectory across records: one row
-// per run, one column per stage (or just the named stage).
-func RenderHistory(w io.Writer, history []Record, stage string) {
+// RenderHistory writes one row per record with its metrics, or only the
+// metrics of the given subject (a stage name, for stage records).
+func RenderHistory(w io.Writer, history []Record, subject string) {
 	if len(history) == 0 {
 		fmt.Fprintln(w, "history is empty")
 		return
 	}
-	fmt.Fprintf(w, "%-20s %-10s %-10s %10s  %s\n", "TIME", "COMPONENT", "REV", "TOTAL", "STAGES")
+	fmt.Fprintf(w, "%-20s %-10s %-10s %s\n", "TIME", "COMPONENT", "REV", "METRICS")
 	for _, r := range history {
-		names := make([]string, 0, len(r.Stages))
-		for name := range r.Stages {
-			if stage != "" && name != stage {
-				continue
+		var cells []string
+		for _, name := range sortedKeys(r.Metrics) {
+			if s, _ := splitMetric(name); subject == "" || s == subject {
+				cells = append(cells, fmt.Sprintf("%s=%.3f", name, r.Metrics[name]))
 			}
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		parts := make([]string, 0, len(names))
-		for _, name := range names {
-			p := r.Stages[name]
-			cell := fmt.Sprintf("%s=%.3fs", name, p.Seconds)
-			if p.CPUSeconds > 0 {
-				cell += fmt.Sprintf(" (cpu %.3fs)", p.CPUSeconds)
-			}
-			parts = append(parts, cell)
 		}
 		rev := r.GitRev
 		if rev == "" {
 			rev = "-"
 		}
-		fmt.Fprintf(w, "%-20s %-10s %-10s %9.3fs  %s\n",
-			r.Time.UTC().Format("2006-01-02 15:04:05"), r.Component, rev, r.Seconds,
-			strings.Join(parts, "  "))
+		fmt.Fprintf(w, "%-20s %-10s %-10s %s\n",
+			r.Time.UTC().Format("2006-01-02 15:04:05"), r.Component, rev, strings.Join(cells, "  "))
 	}
 }

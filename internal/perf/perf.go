@@ -12,9 +12,12 @@
 //     pipeline stops advancing past a deadline (or on SIGQUIT), goroutine
 //     stacks, the ring, and the in-flight artifact IDs are dumped to a
 //     crash-report file.
-//   - Run history: a machine-stamped per-stage profile appended to a
-//     JSONL history on exit, which the clperf binary records, prints, and
-//     diffs as a noise-aware perf regression gate.
+//   - Run history: the one JSONL history and median-baseline regression
+//     gate. A record is a machine stamp plus named metrics, each gated by
+//     its measure's Rule. -perf-history appends per-stage wall and CPU
+//     seconds on exit and clperf records, prints and diffs them;
+//     cltrace model does the same for evaluation accuracy and speedup
+//     (internal/mlobs).
 //
 // The package registers itself with telemetry via init hooks (telemetry
 // cannot import perf), so binaries opt in with a blank import:

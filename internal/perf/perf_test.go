@@ -92,12 +92,8 @@ func TestStartCloser(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := recs[len(recs)-1]
-	p, ok := last.Stages["perf.start_test"]
-	if !ok {
-		t.Fatalf("history record lacks the test stage: %+v", last.Stages)
-	}
-	if p.Count < 1 {
-		t.Fatalf("stage profile = %+v", p)
+	if _, ok := last.Metrics["perf.start_test wall_s"]; !ok {
+		t.Fatalf("history record lacks the test stage: %+v", last.Metrics)
 	}
 	if last.Env != telemetry.Env() {
 		t.Fatalf("history env = %+v, want current env", last.Env)

@@ -50,6 +50,6 @@ func (c *closer) Close() error {
 	if err := Append(c.cfg.HistoryPath, rec); err != nil {
 		return err
 	}
-	telemetry.Info("perf history appended", "path", c.cfg.HistoryPath, "stages", len(rec.Stages))
+	telemetry.Info("perf history appended", "path", c.cfg.HistoryPath, "metrics", len(rec.Metrics))
 	return nil
 }

@@ -19,11 +19,7 @@ import (
 // Version stamps cached normalization results (internal/cache). Bump it
 // whenever renaming rules or the printer's canonical style change, so
 // persistent caches recompute instead of serving stale rewrites.
-const Version = "rewriter-v1"
-
-// VarName returns the i-th variable name in the rewrite sequence:
-// a, b, ..., z, aa, ab, ...
-func VarName(i int) string { return seqName(i, 'a') }
+const Version = "rewriter-v2"
 
 // FuncName returns the i-th function name in the rewrite sequence:
 // A, B, ..., Z, AA, AB, ...
@@ -156,7 +152,7 @@ func Rename(f *clc.File) {
 
 type renamer struct {
 	funcRenames map[string]string
-	varCount    int
+	nextVar     int // index of the next candidate in the a, b, ... sequence
 }
 
 type scope struct {
@@ -177,10 +173,18 @@ func (s *scope) lookup(name string) (string, bool) {
 	return "", false
 }
 
-// fresh assigns the next variable name to old in scope s.
+// fresh assigns the next variable name in the sequence a, b, ..., z, aa,
+// ab, ... to old in scope s. Names OpenCL C reserves are skipped: keywords
+// such as "do" and "if", built-in types such as "int" and built-in
+// functions such as "abs". A variable named after one would not parse, or
+// would shadow the built-in.
 func (r *renamer) fresh(s *scope, old string) string {
-	name := VarName(r.varCount)
-	r.varCount++
+	name := seqName(r.nextVar, 'a')
+	r.nextVar++
+	for clc.IsKeyword(name) || clc.LookupBuiltinType(name) != nil || clc.LookupBuiltin(name) != nil {
+		name = seqName(r.nextVar, 'a')
+		r.nextVar++
+	}
 	s.renames[old] = name
 	return name
 }

@@ -1,9 +1,9 @@
 package rewriter
 
 import (
+	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"clgen/internal/clc"
 )
@@ -17,8 +17,8 @@ func TestSeqNames(t *testing.T) {
 		{26*26 + 25, "zz"}, {26*26 + 26, "aaa"},
 	}
 	for _, c := range cases {
-		if got := VarName(c.i); got != c.want {
-			t.Errorf("VarName(%d) = %q, want %q", c.i, got, c.want)
+		if got := seqName(c.i, 'a'); got != c.want {
+			t.Errorf("seqName(%d) = %q, want %q", c.i, got, c.want)
 		}
 	}
 	if FuncName(0) != "A" || FuncName(26) != "AA" {
@@ -26,13 +26,29 @@ func TestSeqNames(t *testing.T) {
 	}
 }
 
+// TestVarNamesNeverCollideWithKeywords walks the first 65,536 variable
+// names the renamer hands out: they are the a, b, ... sequence with every
+// keyword, built-in type and built-in function left out, and nothing else.
 func TestVarNamesNeverCollideWithKeywords(t *testing.T) {
-	err := quick.Check(func(i uint16) bool {
-		name := VarName(int(i))
-		return !clc.IsKeyword(name) && clc.LookupBuiltinType(name) == nil
-	}, nil)
-	if err != nil {
-		t.Error(err)
+	reserved := func(name string) bool {
+		return clc.IsKeyword(name) || clc.LookupBuiltinType(name) != nil || clc.LookupBuiltin(name) != nil
+	}
+	r, s := &renamer{}, newScope(nil)
+	var skipped []string
+	seq := 0
+	for i := 0; i < 1<<16; i++ {
+		for ; reserved(seqName(seq, 'a')); seq++ {
+			skipped = append(skipped, seqName(seq, 'a'))
+		}
+		if got, want := r.fresh(s, "v"), seqName(seq, 'a'); got != want {
+			t.Fatalf("variable %d renamed to %q, want %q", i, got, want)
+		}
+		seq++
+	}
+	for _, name := range []string{"do", "if", "for", "int", "abs", "min"} {
+		if !slices.Contains(skipped, name) {
+			t.Errorf("%q was not skipped; skipped %v", name, skipped)
+		}
 	}
 }
 
