@@ -7,14 +7,10 @@
 package clgen_test
 
 import (
-	"flag"
-	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"clgen/internal/clc"
 	"clgen/internal/clsmith"
@@ -27,49 +23,7 @@ import (
 	"clgen/internal/nn"
 	"clgen/internal/platform"
 	"clgen/internal/rewriter"
-	"clgen/internal/telemetry"
 )
-
-// TestMain persists a telemetry snapshot after benchmark runs: the
-// stage-duration histograms and pipeline counters accumulated while the
-// benches ran are written to BENCH_telemetry.json, giving future perf
-// PRs a baseline trajectory to diff against. Only the full set that
-// `make bench-snapshot` runs (-bench=.) writes it; plain `go test` runs
-// and partial -bench runs leave the committed baseline alone.
-func TestMain(m *testing.M) {
-	start := time.Now()
-	code := m.Run()
-	if f := flag.Lookup("test.bench"); code == 0 && f != nil && writesBenchSnapshot(f.Value.String()) {
-		if err := telemetry.WriteDefaultReport("bench", "BENCH_telemetry.json", start); err != nil {
-			fmt.Fprintln(os.Stderr, "bench telemetry snapshot:", err)
-		} else {
-			fmt.Fprintln(os.Stderr, "bench telemetry snapshot written to BENCH_telemetry.json")
-		}
-	}
-	os.Exit(code)
-}
-
-// writesBenchSnapshot reports whether a run with the given -test.bench
-// pattern benchmarks the full set, so that its telemetry is a complete
-// baseline rather than the residue of a few selected benches.
-func writesBenchSnapshot(pattern string) bool { return pattern == "." }
-
-// TestWritesBenchSnapshot pins which -bench patterns rewrite
-// BENCH_telemetry.json: only the full set, never a selection.
-func TestWritesBenchSnapshot(t *testing.T) {
-	for pattern, want := range map[string]bool{
-		".":                    true,
-		"":                     false,
-		"BenchmarkInterpSaxpy": false,
-		"Interp":               false,
-		"Table1|Figure7":       false,
-		".*":                   false,
-	} {
-		if got := writesBenchSnapshot(pattern); got != want {
-			t.Errorf("writesBenchSnapshot(%q) = %v, want %v", pattern, got, want)
-		}
-	}
-}
 
 // --- shared world (built once; excluded from timings) ---
 

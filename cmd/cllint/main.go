@@ -295,7 +295,7 @@ func lintSource(p *printer, prefix, src string, quiet bool) (failed bool) {
 // lintSuites analyzes every built-in benchmark, prefixing diagnostics
 // with the benchmark ID. Suite sources are pre-expanded, so they parse
 // without the preprocessor; any diagnostic here is a candidate false
-// positive and is golden-checked in CI (make lint-suites).
+// positive, and internal/analysis's TestSuitesGolden pins them all.
 func lintSuites(p *printer, quiet bool) (failed bool) {
 	flagged, errors := 0, 0
 	for _, b := range suites.All() {

@@ -79,3 +79,12 @@ func TestFootprintsGolden(t *testing.T) {
 	lintSource(p, "test.cl", lintTestSrc, true)
 	checkGolden(t, "footprints.golden", buf.String())
 }
+
+// TestLintSuites is cllint -suites' false-positive gate: no hand-audited
+// benchmark kernel draws an Error diagnostic.
+func TestLintSuites(t *testing.T) {
+	var buf bytes.Buffer
+	if lintSuites(newPrinter(&buf, "text", false), true) {
+		t.Errorf("a suite kernel failed to analyze or drew an Error diagnostic:\n%s", buf.String())
+	}
+}

@@ -35,7 +35,7 @@ import (
 	"clgen/internal/telemetry"
 )
 
-// defaultHistory is where bench-snapshot and CI keep the run history.
+// defaultHistory is the history clperf record appends to without -history.
 const defaultHistory = "PERF_HISTORY.jsonl"
 
 func main() {

@@ -18,11 +18,13 @@
 //	    ID — or parent ID, for derived artifacts — starts with the prefix).
 //
 //	cltrace diff [-threshold pct] old.jsonl new.jsonl
-//	    Compare two runs: artifact counts, acceptance rates, modeled
-//	    runtimes, and (when journaled) the feature-agreement rate gate at
-//	    the threshold (default 5%); wall-clock stage latencies are
-//	    reported but never gated. Exits 1 on regression — identical-seed
-//	    runs always pass, so this is the CI gate.
+//	    Compare two runs' funnels through the run-history gate clperf and
+//	    cltrace model use (internal/perf): artifact counts, failure
+//	    counts and modeled runtime means regress when more than -threshold
+//	    percent worse (default 5), acceptance rates when more than
+//	    -threshold percentage points lower; 0 flags any worsening. Exits 1
+//	    on regression and 2 on an error such as a negative threshold —
+//	    identical-seed runs always pass.
 //
 //	cltrace model report [-json] run.jsonl
 //	    Learning-loop view of the journal: training curves (per-epoch
@@ -264,23 +266,26 @@ func show(args []string) error {
 
 func diff(args []string) (bool, error) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	threshold := fs.Float64("threshold", journal.DefaultThresholdPct,
-		"regression threshold: percent (counts, runtimes) or percentage points (rates)")
+	threshold := fs.Float64("threshold", 5,
+		"regression threshold: percent (counts, failures, runtimes) or percentage points (rates)")
 	if err := fs.Parse(args); err != nil {
 		return false, err
 	}
 	if fs.NArg() != 2 {
 		return false, fmt.Errorf("diff needs exactly two journal paths")
 	}
-	before, err := journal.ReadFile(fs.Arg(0))
+	var history []perf.Record
+	for _, path := range fs.Args() {
+		events, err := journal.ReadFile(path)
+		if err != nil {
+			return false, err
+		}
+		history = append(history, journal.BuildRecord(events))
+	}
+	rep, err := perf.Diff(history, journal.Rules(*threshold))
 	if err != nil {
 		return false, err
 	}
-	after, err := journal.ReadFile(fs.Arg(1))
-	if err != nil {
-		return false, err
-	}
-	d := journal.Diff(before, after, *threshold)
-	fmt.Print(d.Render())
-	return !d.OK(), nil
+	rep.Render(os.Stdout)
+	return rep.Regressions > 0, nil
 }

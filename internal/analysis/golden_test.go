@@ -41,8 +41,8 @@ func checkGolden(t *testing.T, name, got string) {
 // suites: every diagnostic the analyzer emits on real (hand-audited)
 // kernels is pinned in the golden file, and none may be Error severity —
 // an Error here would make the strict filter reject a kernel the dynamic
-// checker demonstrably accepts. `make lint-suites` runs the same sweep
-// via the cllint binary.
+// checker demonstrably accepts. cllint -suites runs the same sweep
+// (cmd/cllint's TestLintSuites).
 func TestSuitesGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, b := range suites.All() {

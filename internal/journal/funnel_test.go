@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"clgen/internal/perf"
 )
 
 // fixtureEvents builds a small deterministic journal under a fake clock:
@@ -121,6 +123,45 @@ func featureFixtureEvents() []Event {
 		e(Event{ID: "s3", Stage: StageFeatures, Kernel: "B",
 			FeatHeur: []float64{6, 2, 0, 1, 1}, FeatPrec: []float64{6, 3, 0, 1, 3}}),
 	)
+}
+
+// footprintFixtureEvents is a -footprint-sizing run with a warm cache:
+// k1's strided argument is resized past the §5.1 extent and the checker
+// then accepts k1 (a rescue); k2's argument fits and its check finds no
+// output. Both loads and k2's check were served from cache.
+func footprintFixtureEvents() []Event {
+	return []Event{
+		{ID: "k1", Stage: StageDriverLoad, CacheHit: true},
+		{ID: "k1", Stage: StageFootprint, Size: 256, Footprint: []FootprintArg{
+			{Arg: 0, Name: "a", Max: "2*G-2", Known: true, Hi: 510, Elems: 511, Resized: true, Written: true}}},
+		{ID: "k1", Stage: StageChecked, Verdict: "useful work"},
+		{ID: "k2", Stage: StageDriverLoad, CacheHit: true},
+		{ID: "k2", Stage: StageFootprint, Size: 256, Footprint: []FootprintArg{
+			{Arg: 0, Name: "b", Max: "G-1", Known: true, Hi: 255, Elems: 256, Written: true}}},
+		{ID: "k2", Stage: StageChecked, Verdict: "no output", CacheHit: true},
+	}
+}
+
+// TestFunnelFootprintAndCache pins the rescued-kernel count and the
+// cache hits per stage, and the funnel lines that render them.
+func TestFunnelFootprintAndCache(t *testing.T) {
+	r := Funnel(footprintFixtureEvents())
+	if r.FootprintKernels != 2 || r.FootprintResized != 1 || r.FootprintRescued != 1 {
+		t.Errorf("footprint: kernels=%d resized=%d rescued=%d, want 2/1/1",
+			r.FootprintKernels, r.FootprintResized, r.FootprintRescued)
+	}
+	if want := map[Stage]int{StageDriverLoad: 2, StageChecked: 1}; !reflect.DeepEqual(r.CacheHits, want) {
+		t.Errorf("CacheHits = %v, want %v", r.CacheHits, want)
+	}
+	out := r.Render()
+	for _, line := range []string{
+		"footprint      2 kernels ->    2 args (1 resized, 0 overrun, 0 unknown), 1 rescued\n",
+		"cache          3 stage results served from cache\n",
+	} {
+		if !strings.Contains(out, line) {
+			t.Errorf("render lacks %q:\n%s", line, out)
+		}
+	}
 }
 
 // costFixtureEvents is a journal of checks that carry interpreter steps:
@@ -291,12 +332,33 @@ func TestFunnelFeatureJSON(t *testing.T) {
 	}
 }
 
-// TestDiffFeatureGate covers the features rows of the regression gate:
+// diff gates after's funnel against before's, as cltrace diff does.
+func diff(t *testing.T, before, after []Event, thresholdPct float64) *perf.DiffReport {
+	t.Helper()
+	rep, err := perf.Diff([]perf.Record{BuildRecord(before), BuildRecord(after)}, Rules(thresholdPct))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// regressed returns the names of the metrics a diff flagged.
+func regressed(rep *perf.DiffReport) map[string]bool {
+	out := map[string]bool{}
+	for _, m := range rep.Metrics {
+		if m.Regressed {
+			out[m.Metric] = true
+		}
+	}
+	return out
+}
+
+// TestDiffFeatureGate covers the features metrics of the regression gate:
 // identical runs diff clean, and a run whose precise extraction drifts
-// away from the heuristic trips "feature agreement".
+// away from the heuristic trips "feature agreement pct".
 func TestDiffFeatureGate(t *testing.T) {
-	if d := Diff(featureFixtureEvents(), featureFixtureEvents(), 0); !d.OK() {
-		t.Fatalf("identical feature runs regressed: %v", d.Regressions)
+	if d := diff(t, featureFixtureEvents(), featureFixtureEvents(), 5); d.Regressions != 0 {
+		t.Fatalf("identical feature runs regressed: %v", regressed(d))
 	}
 	var perturbed []Event
 	for _, e := range featureFixtureEvents() {
@@ -305,28 +367,18 @@ func TestDiffFeatureGate(t *testing.T) {
 		}
 		perturbed = append(perturbed, e)
 	}
-	d := Diff(featureFixtureEvents(), perturbed, 0)
-	if d.OK() {
-		t.Fatal("halved feature agreement passed the gate")
-	}
-	regressed := map[string]bool{}
-	for _, r := range d.Rows {
-		if r.Regressed {
-			regressed[r.Name] = true
-		}
-	}
-	if !regressed["feature agreement"] {
-		t.Errorf("expected 'feature agreement' to regress; regressions: %v", d.Regressions)
+	if got := regressed(diff(t, featureFixtureEvents(), perturbed, 5)); !got["feature agreement pct"] {
+		t.Errorf("expected 'feature agreement pct' to regress; regressions: %v", got)
 	}
 }
 
-// TestDiffStaticGate covers the static_filter rows of the regression
+// TestDiffStaticGate covers the static_filter metrics of the regression
 // gate: identical static runs diff clean, and a run where the analyzer
-// starts rejecting a previously clean kernel trips "static rejected"
-// (BadDir +1: over-rejection discards kernels the checker accepts).
+// starts rejecting a previously clean kernel trips "static filter
+// failures" (over-rejection discards kernels the checker accepts).
 func TestDiffStaticGate(t *testing.T) {
-	if d := Diff(staticFixtureEvents(), staticFixtureEvents(), 0); !d.OK() {
-		t.Fatalf("identical static runs regressed: %v", d.Regressions)
+	if d := diff(t, staticFixtureEvents(), staticFixtureEvents(), 5); d.Regressions != 0 {
+		t.Fatalf("identical static runs regressed: %v", regressed(d))
 	}
 	var perturbed []Event
 	for _, e := range staticFixtureEvents() {
@@ -338,35 +390,24 @@ func TestDiffStaticGate(t *testing.T) {
 		}
 		perturbed = append(perturbed, e)
 	}
-	d := Diff(staticFixtureEvents(), perturbed, 0)
-	if d.OK() {
-		t.Fatal("doubled static rejections passed the gate")
-	}
-	regressed := map[string]bool{}
-	for _, r := range d.Rows {
-		if r.Regressed {
-			regressed[r.Name] = true
-		}
-	}
-	if !regressed["static rejected"] {
-		t.Errorf("expected 'static rejected' to regress; regressions: %v", d.Regressions)
+	if got := regressed(diff(t, staticFixtureEvents(), perturbed, 5)); !got["static filter failures"] {
+		t.Errorf("expected 'static filter failures' to regress; regressions: %v", got)
 	}
 }
 
 // TestDiffIdenticalRunsClean is the identical-seed acceptance criterion:
-// a journal diffed against (a reordered copy of) itself reports zero
-// regressions.
+// a journal diffed against a later, slower, reordered copy of itself
+// reports zero regressions, even at a zero threshold.
 func TestDiffIdenticalRunsClean(t *testing.T) {
 	events := fixtureEvents()
 	reordered := make([]Event, len(events))
 	for i, e := range events {
-		e.Time = e.Time.Add(time.Hour) // a later, slower run of the same seed
+		e.Time = e.Time.Add(time.Hour)
 		e.DurMS *= 3
 		reordered[len(events)-1-i] = e
 	}
-	d := Diff(events, reordered, 0)
-	if !d.OK() {
-		t.Fatalf("identical runs regressed: %v", d.Regressions)
+	if d := diff(t, events, reordered, 0); d.Regressions != 0 {
+		t.Fatalf("identical runs regressed: %v", regressed(d))
 	}
 }
 
@@ -390,29 +431,37 @@ func perturbedEvents() []Event {
 }
 
 func TestDiffGolden(t *testing.T) {
-	checkGolden(t, "diff.golden", Diff(fixtureEvents(), perturbedEvents(), 0).Render())
+	var b strings.Builder
+	diff(t, fixtureEvents(), perturbedEvents(), 5).Render(&b)
+	checkGolden(t, "diff.golden", b.String())
 }
 
+// TestDiffCatchesRegressions checks the perturbed run trips exactly the
+// funnel metrics the perturbation worsens, and that the threshold is
+// used as given.
 func TestDiffCatchesRegressions(t *testing.T) {
-	d := Diff(fixtureEvents(), perturbedEvents(), 0)
-	if d.OK() {
-		t.Fatal("perturbed run passed the gate")
+	want := map[string]bool{
+		"samples accepted count":     true,
+		"samples accepted pct":       true,
+		"driver loads count":         true,
+		"checker checks count":       true,
+		"runtime amd cpu mean ms":    true,
+		"runtime nvidia cpu mean ms": true,
+		"suite npb best mean ms":     true,
 	}
-	wantRegressed := map[string]bool{"samples accepted": true, "suite npb best mean": true}
-	got := map[string]bool{}
-	for _, r := range d.Rows {
-		if r.Regressed {
-			got[r.Name] = true
-		}
+	if got := regressed(diff(t, fixtureEvents(), perturbedEvents(), 5)); !reflect.DeepEqual(got, want) {
+		t.Errorf("regressed = %v, want %v", got, want)
 	}
-	for name := range wantRegressed {
-		if !got[name] {
-			t.Errorf("expected %q to regress; regressions: %v", name, d.Regressions)
-		}
+	// A count that falls to zero is still recorded, so it regresses.
+	if got := regressed(diff(t, fixtureEvents(), nil, 5)); !got["corpus mined count"] || !got["measurements count"] {
+		t.Errorf("an empty journal regressed only %v", got)
 	}
 	// A huge threshold lets everything through.
-	if d := Diff(fixtureEvents(), perturbedEvents(), 1000); !d.OK() {
-		t.Errorf("threshold 1000%% still regressed: %v", d.Regressions)
+	if d := diff(t, fixtureEvents(), perturbedEvents(), 1000); d.Regressions != 0 {
+		t.Errorf("threshold 1000%% still regressed: %v", regressed(d))
+	}
+	if _, err := perf.Diff([]perf.Record{BuildRecord(nil), BuildRecord(nil)}, Rules(-1)); err == nil {
+		t.Error("negative threshold accepted")
 	}
 }
 

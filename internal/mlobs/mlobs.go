@@ -33,11 +33,6 @@ import (
 // for every worker count). experiment/system/variant locate the run
 // ("figure7", "AMD Tahiti 7970", "grewe+clgen"); static is the single-
 // device baseline speedups are computed against.
-//
-// The CLGEN_FAULT_LABEL_FLIP fixture falsifies the journaled predicted
-// device only — the in-memory predictions, figures, and tables are
-// untouched — so the model-smoke gate can prove `cltrace model diff`
-// trips on an accuracy collapse without building a genuinely bad model.
 func EmitPredictions(experiment, system, variant string, static platform.DeviceType,
 	preds []grewe.Prediction, fs grewe.FeatureSet) {
 	reg := telemetry.Default()
@@ -54,12 +49,7 @@ func EmitPredictions(experiment, system, variant string, static platform.DeviceT
 	if !journal.Enabled() {
 		return
 	}
-	flip := telemetry.FaultLabelFlip()
 	for _, p := range preds {
-		predicted := p.Predicted
-		if flip {
-			predicted = flipDevice(predicted)
-		}
 		ev := journal.Event{
 			ID:         obsID(system, p.Obs),
 			Stage:      journal.StagePredicted,
@@ -70,7 +60,7 @@ func EmitPredictions(experiment, system, variant string, static platform.DeviceT
 			Suite:      p.Obs.Bench,
 			Kernel:     p.Obs.M.Kernel,
 			Features:   fs.Vector(p.Obs.M.Vector),
-			Predicted:  predicted.String(),
+			Predicted:  p.Predicted.String(),
 			Oracle:     p.Obs.M.Oracle.String(),
 			Baseline:   static.String(),
 		}
@@ -91,11 +81,4 @@ func obsID(system string, o *grewe.Observation) string {
 		return o.ID
 	}
 	return journal.ID(system + "/" + o.Bench + "/" + o.M.Kernel)
-}
-
-func flipDevice(d platform.DeviceType) platform.DeviceType {
-	if d == platform.CPU {
-		return platform.GPU
-	}
-	return platform.CPU
 }

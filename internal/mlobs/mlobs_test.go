@@ -89,30 +89,6 @@ func TestEmitPredictions(t *testing.T) {
 	}
 }
 
-func TestEmitPredictionsLabelFlip(t *testing.T) {
-	t.Setenv(telemetry.FaultLabelFlipEnv, "1")
-	preds := []grewe.Prediction{
-		{Obs: obs("a", 10, 1), Predicted: platform.GPU}, // correct in memory
-	}
-	events := capture(t, func() {
-		EmitPredictions("figure7", "AMD", "grewe", platform.CPU, preds, grewe.Combined)
-	})
-	if len(events) != 1 {
-		t.Fatalf("got %d events", len(events))
-	}
-	// The journal records the flipped label; the in-memory prediction and
-	// the honest speedup are untouched.
-	if events[0].Predicted != "CPU" {
-		t.Fatalf("flip fixture did not flip: predicted=%q", events[0].Predicted)
-	}
-	if events[0].Oracle != "GPU" {
-		t.Fatalf("flip fixture touched the oracle: %q", events[0].Oracle)
-	}
-	if !preds[0].Correct() {
-		t.Fatal("flip fixture mutated the in-memory prediction")
-	}
-}
-
 func TestReportAggregation(t *testing.T) {
 	events := []journal.Event{
 		{Stage: journal.StageTrained, Model: "m1", Variant: "lstm", Epoch: 1, Loss: 2.0, ClipRate: 0.1},

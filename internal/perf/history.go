@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -156,7 +157,8 @@ func (r Rule) String() string {
 }
 
 // MetricDiff compares one metric between the newest record and its
-// baseline median.
+// baseline median. DeltaPct is ±Inf when the median is zero and the new
+// value is not.
 type MetricDiff struct {
 	Metric    string
 	Base, New float64
@@ -216,8 +218,13 @@ func Diff(history []Record, rules map[string]Rule) (*DiffReport, error) {
 			continue
 		}
 		d := MetricDiff{Metric: name, Base: median(samples), New: newest.Metrics[name]}
-		if d.Base != 0 {
+		switch {
+		case d.Base != 0:
 			d.DeltaPct = (d.New - d.Base) / d.Base * 100
+		case d.New > 0:
+			d.DeltaPct = math.Inf(1)
+		case d.New < 0:
+			d.DeltaPct = math.Inf(-1)
 		}
 		worse := d.New - d.Base
 		if rule.LowerIsWorse {

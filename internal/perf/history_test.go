@@ -179,6 +179,28 @@ func TestDiffTolerancesAsGiven(t *testing.T) {
 	}
 }
 
+// TestDiffZeroBaseline checks a failure count rising from a zero median
+// regresses and renders an infinite change, not +0.0%.
+func TestDiffZeroBaseline(t *testing.T) {
+	rec := func(n float64) Record {
+		r := testRecord(10, nil)
+		r.Metrics = map[string]float64{"driver load failures": n}
+		return r
+	}
+	rep, err := Diff([]Record{rec(0), rec(1)}, map[string]Rule{"failures": {RelPct: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := regressed(rep); len(got) != 1 || got[0] != "driver load failures" {
+		t.Fatalf("regressed = %v, want the failure count: %+v", got, rep.Metrics)
+	}
+	var b strings.Builder
+	rep.Render(&b)
+	if !strings.Contains(b.String(), "+Inf%  << REGRESSION") {
+		t.Fatalf("render lacks an infinite delta:\n%s", b.String())
+	}
+}
+
 // TestDiffEnvMismatchNoBaseline checks records from a different machine
 // or of another component never form a baseline.
 func TestDiffEnvMismatchNoBaseline(t *testing.T) {

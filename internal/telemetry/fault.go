@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// FaultSleepEnv is the fault-injection fixture behind the perf-smoke and
-// stall-smoke CI gates (make perf-smoke): a comma-separated list of
+// FaultSleepEnv is the fault-injection fixture behind the perf and stall
+// gate tests (TestPerfGate in gates_test.go): a comma-separated list of
 // stage=duration pairs, e.g.
 //
 //	CLGEN_FAULT_SLEEP="core.synthesize=2s"
@@ -21,36 +21,11 @@ import (
 // normal case) the fixture costs one sync.Once and a nil-map check.
 const FaultSleepEnv = "CLGEN_FAULT_SLEEP"
 
-// FaultLabelFlipEnv is the fault-injection fixture behind the model-smoke
-// CI gate (make model-smoke): when set to a non-empty value, every
-// predicted journal event records the *wrong* device as its prediction.
-// The falsification is journal-only — the in-memory predictions, figures,
-// and tables are untouched — so the run completes normally while the
-// recorded accuracy collapses, which must trip `cltrace model diff`'s
-// regression gate. Unset (the normal case) the fixture costs one
-// sync.Once per process.
-const FaultLabelFlipEnv = "CLGEN_FAULT_LABEL_FLIP"
-
 var (
 	faultOnce   sync.Once
 	faultDelays map[string]time.Duration
 	faultFired  map[string]*sync.Once
-
-	flipOnce sync.Once
 )
-
-// FaultLabelFlip reports whether the label-flip fixture is armed. The env
-// var is re-read on every call (a per-prediction lookup is cheap and lets
-// tests arm the fixture with t.Setenv); the warning fires once.
-func FaultLabelFlip() bool {
-	if os.Getenv(FaultLabelFlipEnv) == "" {
-		return false
-	}
-	flipOnce.Do(func() {
-		Warn("fault injection: flipping predicted labels in journal events")
-	})
-	return true
-}
 
 // parseFaultSpec parses "stage=dur,stage=dur"; malformed entries are
 // dropped (a fixture must never break a real run).

@@ -83,7 +83,7 @@ var noopDone = func() {}
 //
 // BeginWorkf is also the injection point of the CLGEN_FAULT_SLEEP test
 // fixture (see fault.go): the injected delay runs while the artifact is
-// registered, so a stall-smoke run dumps a truthful in-flight set.
+// registered, so a stall gate run dumps a truthful in-flight set.
 func BeginWorkf(stage, idFormat string, args ...any) func() {
 	if !progressEnabled.Load() {
 		faultSleep(stage)

@@ -58,8 +58,7 @@ func (r *RunReport) WriteFile(path string) error {
 }
 
 // WriteDefaultReport writes a RunReport of the default registry and
-// tracer — the hook bench_test.go uses to persist a stage-duration
-// baseline (BENCH_telemetry.json) for future perf PRs.
+// tracer to path: what the -report flag leaves when a run exits.
 func WriteDefaultReport(component, path string, start time.Time) error {
 	return BuildReport(component, start, Default(), DefaultTracer()).WriteFile(path)
 }
