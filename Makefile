@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet vet-stages fmt test race bench bench-snapshot
+.PHONY: check build vet vet-stages fmt test race bench
 
 check: build vet vet-stages fmt race
 
@@ -34,23 +34,3 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem
-
-# Records BENCH_parallel.json: serial-vs-parallel wall times of the
-# worker-pool fan-outs (workers=1,2,4) with outputs verified identical.
-# BENCH_analysis.json adds the static analyzer's cost/payoff: rejection-
-# filter throughput with strict mode off vs on, and the dynamic-checker
-# executions the pre-screen eliminates.
-# BENCH_cache.json records the content-addressed stage caches' payoff:
-# cold- vs warm-cache corpus build and Figure 9 wall times, with output
-# equality verified (warm must be >= 2x faster and byte-identical).
-# BENCH_model.json records learning-loop throughput: LSTM training
-# tokens/s, Grewe LOOCV predictions/s, and the journal cost per audited
-# prediction (the number that licenses leaving -journal on in CI).
-# Stale snapshots are removed first so a failed run cannot leave a
-# previous baseline masquerading as fresh (idempotent re-runs).
-bench-snapshot:
-	rm -f BENCH_parallel.json BENCH_analysis.json BENCH_cache.json BENCH_model.json
-	BENCH_PARALLEL=1 $(GO) test -run=TestParallelBenchSnapshot .
-	BENCH_ANALYSIS=1 $(GO) test -run=TestAnalysisBenchSnapshot -timeout 30m .
-	BENCH_CACHE=1 $(GO) test -run=TestCacheBenchSnapshot -timeout 30m .
-	BENCH_MODEL=1 $(GO) test -run=TestModelBenchSnapshot -timeout 30m .

@@ -7,21 +7,13 @@
 //
 //	cldrive [-size N] [-seed S] [file.cl]   (reads stdin without a file)
 //
-// Observability and concurrency (shared across clgen/clexp/cldrive):
-//
-//	cldrive -v                     debug logging
-//	cldrive -quiet                 warnings and errors only
-//	cldrive -metrics-addr :9090    live /metrics, /vars, /stages, /debug/pprof/
-//	cldrive -report run.json       machine-readable RunReport on exit
-//	cldrive -journal run.jsonl     per-artifact provenance journal (cltrace)
-//	cldrive -perf                  per-stage CPU/alloc/GC accounting
-//	cldrive -stall-timeout 30s     stall watchdog + flight-recorder dump
-//	cldrive -perf-history h.jsonl  append per-stage run profile (clperf)
-//	cldrive -workers N             worker-pool size (default GOMAXPROCS);
-//	                               outputs are identical for every N
-//	cldrive -static-checks         pre-screen with the static analyzer;
-//	                               statically rejected kernels skip the
-//	                               four dynamic checker executions
+// cldrive takes the observability flags every binary takes (-v, -quiet,
+// -log-json, -metrics-addr, -report, -perf, -stall-timeout, -stall-dump,
+// -perf-history) and the pipeline flags it shares with clgen and clexp
+// (-journal, -cache-dir, -static-checks, -precise-features,
+// -footprint-sizing, -workers); internal/cli applies them. Under
+// -static-checks, kernels the static analyzer rejects skip the four
+// dynamic checker executions.
 package main
 
 import (
@@ -30,9 +22,9 @@ import (
 	"io"
 	"os"
 
+	"clgen/internal/cli"
 	"clgen/internal/driver"
 	"clgen/internal/journal"
-	_ "clgen/internal/perf" // -perf/-stall-timeout/-perf-history backend
 	"clgen/internal/platform"
 	"clgen/internal/pool"
 	"clgen/internal/telemetry"
@@ -44,8 +36,7 @@ func main() {
 		seed = flag.Int64("seed", 1, "payload seed")
 		cap  = flag.Int("cap", 16384, "execution-size cap (0 = run full size)")
 	)
-	tf := telemetry.RegisterCLIFlags(flag.CommandLine)
-	pool.RegisterCLIFlags(flag.CommandLine)
+	tf := cli.RegisterPipeline(flag.CommandLine)
 	flag.Parse()
 	rt, err := tf.Start("cldrive")
 	if err != nil {
@@ -71,7 +62,7 @@ func main() {
 // dynamic checker) from hard failures.
 var errCheckerRejected = fmt.Errorf("kernel rejected by the dynamic checker")
 
-func drive(rt *telemetry.Runtime, size int, seed int64, cap int, static bool, args []string) error {
+func drive(rt *cli.Runtime, size int, seed int64, cap int, static bool, args []string) error {
 	var src []byte
 	var err error
 	if len(args) > 0 {

@@ -8,18 +8,12 @@
 //	clexp -run fig9 -kernels 2000
 //	clexp -scale test -run all     (fast, reduced sizes)
 //
-// Observability and concurrency (shared across clgen/clexp/cldrive):
-//
-//	clexp -v                       debug logging
-//	clexp -quiet                   warnings and errors only
-//	clexp -metrics-addr :9090      live /metrics, /vars, /stages, /debug/pprof/
-//	clexp -report run.json         machine-readable RunReport on exit
-//	clexp -journal run.jsonl       per-artifact provenance journal (cltrace)
-//	clexp -perf                    per-stage CPU/alloc/GC accounting
-//	clexp -stall-timeout 30s       stall watchdog + flight-recorder dump
-//	clexp -perf-history h.jsonl    append per-stage run profile (clperf)
-//	clexp -workers N               worker-pool size (default GOMAXPROCS);
-//	                               outputs are identical for every N
+// clexp takes the observability flags every binary takes (-v, -quiet,
+// -log-json, -metrics-addr, -report, -perf, -stall-timeout, -stall-dump,
+// -perf-history) and the pipeline flags it shares with clgen and cldrive
+// (-journal, -cache-dir, -static-checks, -precise-features,
+// -footprint-sizing, -workers); internal/cli applies them. Outputs are
+// identical for every -workers value and for a warm -cache-dir.
 package main
 
 import (
@@ -28,10 +22,8 @@ import (
 	"os"
 	"strings"
 
+	"clgen/internal/cli"
 	"clgen/internal/experiments"
-	_ "clgen/internal/perf" // -perf/-stall-timeout/-perf-history backend
-	"clgen/internal/pool"
-	"clgen/internal/telemetry"
 )
 
 var experimentOrder = []string{
@@ -46,8 +38,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "campaign seed")
 		kernels = flag.Int("kernels", 2000, "figure 9 kernel pool size")
 	)
-	tf := telemetry.RegisterCLIFlags(flag.CommandLine)
-	pool.RegisterCLIFlags(flag.CommandLine)
+	tf := cli.RegisterPipeline(flag.CommandLine)
 	flag.Parse()
 	rt, err := tf.Start("clexp")
 	if err != nil {
@@ -64,7 +55,7 @@ func main() {
 	}
 }
 
-func campaign(rt *telemetry.Runtime, run, scale string, seed int64, kernels int, static bool) error {
+func campaign(rt *cli.Runtime, run, scale string, seed int64, kernels int, static bool) error {
 	want := map[string]bool{}
 	if run == "all" {
 		for _, e := range experimentOrder {

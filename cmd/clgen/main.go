@@ -10,21 +10,14 @@
 //	clgen -mode sample [-n N] [-model FILE] [-repos N] [-seed S] [-temp T] [-free]
 //	clgen -mode stats  [-repos N] [-seed S]
 //
-// Observability and concurrency (shared across clgen/clexp/cldrive):
-//
-//	clgen -v                       debug logging
-//	clgen -quiet                   warnings and errors only
-//	clgen -metrics-addr :9090      live /metrics, /vars, /stages, /debug/pprof/
-//	clgen -report run.json         machine-readable RunReport on exit
-//	clgen -journal run.jsonl       per-artifact provenance journal (cltrace)
-//	clgen -perf                    per-stage CPU/alloc/GC accounting
-//	clgen -stall-timeout 30s       stall watchdog + flight-recorder dump
-//	clgen -perf-history h.jsonl    append per-stage run profile (clperf)
-//	clgen -cache-dir DIR           persist content-addressed stage caches;
-//	                               warm runs reuse filter/rewrite/feature/
-//	                               check results (outputs stay identical)
-//	clgen -workers N               worker-pool size (default GOMAXPROCS);
-//	                               outputs are identical for every N
+// clgen takes the observability flags every binary takes (-v, -quiet,
+// -log-json, -metrics-addr, -report, -perf, -stall-timeout, -stall-dump,
+// -perf-history) and the pipeline flags it shares with clexp and cldrive
+// (-journal, -cache-dir, -static-checks, -precise-features,
+// -footprint-sizing, -workers); internal/cli applies them. Outputs are
+// identical for every -workers value and for a warm -cache-dir.
+// -static-checks makes the rejection filter strict. -footprint-sizing
+// has no effect here: clgen never runs the dynamic checker.
 package main
 
 import (
@@ -32,15 +25,13 @@ import (
 	"fmt"
 	"os"
 
+	"clgen/internal/cli"
 	"clgen/internal/core"
 	"clgen/internal/corpus"
 	"clgen/internal/experiments"
 	"clgen/internal/github"
 	"clgen/internal/model"
 	"clgen/internal/nn"
-	_ "clgen/internal/perf" // -perf/-stall-timeout/-perf-history backend
-	"clgen/internal/pool"
-	"clgen/internal/telemetry"
 )
 
 func main() {
@@ -58,8 +49,7 @@ func main() {
 		layers  = flag.Int("layers", 2, "LSTM layers")
 		epochs  = flag.Int("epochs", 8, "LSTM training epochs")
 	)
-	tf := telemetry.RegisterCLIFlags(flag.CommandLine)
-	pool.RegisterCLIFlags(flag.CommandLine)
+	tf := cli.RegisterPipeline(flag.CommandLine)
 	flag.Parse()
 	rt, err := tf.Start("clgen")
 	if err != nil {
@@ -76,7 +66,7 @@ func main() {
 	}
 }
 
-func synthesizer(rt *telemetry.Runtime, mode, modelF string, repos int, seed int64,
+func synthesizer(rt *cli.Runtime, mode, modelF string, repos int, seed int64,
 	n int, temp float64, backend string, free bool, order, hidden, layers, epochs int,
 	static bool) error {
 	log := rt.Log

@@ -25,14 +25,16 @@
 //
 // Exit status is 0 when no Error-severity diagnostic was found, 1 when
 // at least one input has an Error diagnostic or fails to parse, and 2
-// on usage or I/O failure. Error-severity diagnostics are the ones the
-// strict corpus filter (-static-checks) rejects on.
+// on usage or I/O failure, including a -report or -perf-history file
+// that cannot be written. Error-severity diagnostics are the ones the
+// strict corpus filter (clgen -static-checks) rejects on.
 //
-// cllint shares the observability flags of the other binaries (-v,
-// -report, -perf, -perf-history, ...); -quiet both lowers the log level
-// and suppresses the per-input summary on stderr. -precise-features has
-// no effect on lint output (diagnostics come from the analyzer either
-// way) but is accepted for flag parity.
+// cllint takes the observability flags of the other binaries (-v,
+// -quiet, -log-json, -metrics-addr, -report, -perf, -stall-timeout,
+// -stall-dump, -perf-history); -quiet both lowers the log level and
+// suppresses the per-input summary on stderr. It runs no pipeline, so it
+// rejects the pipeline flags (-journal, -cache-dir, -static-checks,
+// -precise-features, -footprint-sizing, -workers) as usage errors.
 package main
 
 import (
@@ -45,11 +47,9 @@ import (
 
 	"clgen/internal/analysis"
 	"clgen/internal/clc"
+	"clgen/internal/cli"
 	"clgen/internal/corpus"
-	_ "clgen/internal/features" // -precise-features backend
-	_ "clgen/internal/perf"     // -perf/-stall-timeout/-perf-history backend
 	"clgen/internal/suites"
-	"clgen/internal/telemetry"
 )
 
 func main() {
@@ -59,7 +59,7 @@ func main() {
 		format     = flag.String("format", "text", "output format: text, json, or sarif")
 		footprints = flag.Bool("footprints", false, "print per-kernel pointer-argument access footprints")
 	)
-	tf := telemetry.RegisterCLIFlags(flag.CommandLine)
+	tf := cli.Register(flag.CommandLine)
 	flag.Parse()
 	if *jsonMode && *format == "text" {
 		*format = "json"
@@ -86,7 +86,9 @@ func main() {
 	if ferr := p.flush(); err == nil {
 		err = ferr
 	}
-	rt.Close()
+	if cerr := rt.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cllint:", err)
 		os.Exit(2)

@@ -39,9 +39,9 @@ func TestMain(m *testing.M) {
 
 // command builds ./cmd/<name> on first use and returns the binary's path.
 // The go test cache cannot see what a child go build reads, so command
-// stats the command's sources itself: a change under cmd/ then reruns the
-// gates. Changes under internal/ already do, through this package's
-// imports.
+// stats the sources that only the commands link, cmd/<name> and
+// internal/cli: a change there then reruns the gates. Changes to the rest
+// of internal/ already do, through this package's imports.
 func command(t *testing.T, name string) string {
 	t.Helper()
 	bins.Lock()
@@ -49,15 +49,18 @@ func command(t *testing.T, name string) string {
 	if p, ok := bins.paths[name]; ok {
 		return p
 	}
-	srcs, err := filepath.Glob(filepath.Join("cmd", name, "*.go"))
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no sources for cmd/%s: %v", name, err)
-	}
-	for _, src := range srcs {
-		if _, err := os.Stat(src); err != nil {
-			t.Fatal(err)
+	for _, dir := range []string{filepath.Join("cmd", name), filepath.Join("internal", "cli")} {
+		srcs, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(srcs) == 0 {
+			t.Fatalf("no sources in %s: %v", dir, err)
+		}
+		for _, src := range srcs {
+			if _, err := os.Stat(src); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	var err error
 	if bins.dir == "" {
 		if bins.dir, err = os.MkdirTemp("", "clgen-gates-"); err != nil {
 			t.Fatal(err)
@@ -280,5 +283,30 @@ func TestPerfGate(t *testing.T) {
 		if !bytes.Contains(text, []byte(want)) {
 			t.Errorf("stall dump does not name %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestLintExitCodes: cllint runs no pipeline, so each pipeline flag is a
+// usage error (exit 2), and a -report or -perf-history it cannot write is
+// an I/O failure (exit 2).
+func TestLintExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	kernel := filepath.Join(dir, "k.cl")
+	if err := os.WriteFile(kernel, []byte("__kernel void A(__global float* a) {\n  a[get_global_id(0)] = 1.0f;\n}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run(t, 0, nil, "cllint", "-quiet", kernel)
+	missing := filepath.Join(dir, "missing")
+	for _, args := range [][]string{
+		{"-journal", filepath.Join(dir, "run.jsonl")},
+		{"-cache-dir", filepath.Join(dir, "cache")},
+		{"-static-checks"},
+		{"-precise-features"},
+		{"-footprint-sizing"},
+		{"-workers", "2"},
+		{"-report", filepath.Join(missing, "report.json")},
+		{"-perf-history", filepath.Join(missing, "hist.jsonl")},
+	} {
+		run(t, 2, nil, "cllint", append(append([]string{"-quiet"}, args...), kernel)...)
 	}
 }

@@ -1,8 +1,6 @@
 // The persistent tier: version-stamped JSON entries under a shared
-// directory, one subdirectory per memo. The directory is set by the
-// -cache-dir flag — telemetry owns the flag and calls back through
-// SetCacheDirApplier (installed by this package's init) because it
-// cannot import cache without a cycle.
+// directory, one subdirectory per memo. The binaries' -cache-dir flag sets
+// the directory through SetDir.
 //
 // Entries are written atomically (temp file + rename) so a crashed or
 // concurrent run never leaves a half-written entry. Reads are defensive:
@@ -26,10 +24,6 @@ var (
 	dirMu   sync.RWMutex
 	dirPath string
 )
-
-func init() {
-	telemetry.SetCacheDirApplier(SetDir)
-}
 
 // SetDir enables the persistent tier under path (created if missing).
 // An empty path disables it.

@@ -70,8 +70,8 @@ func (r CheckResult) OK() bool { return r.Verdict == UsefulWork }
 func Check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 	done := telemetry.BeginWorkf("driver.check", "%s@%d", k.Name, globalSize)
 	defer done()
-	if cfg.Static != StaticOff {
-		if res, done := staticPreScreen(k, cfg.Static); done {
+	if cfg.Static == StaticPreScreen {
+		if res, done := staticPreScreen(k); done {
 			return res
 		}
 	}
@@ -113,11 +113,11 @@ func Check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 
 // staticPreScreen consults the analyzer before any execution. It journals
 // the forecast (a static_filter event keyed by the same content hash as
-// the kernel's checked events, so cltrace can join them) and, in
-// StaticPreScreen mode, resolves predicted-to-fail kernels without running
-// them. done reports that the caller should return res as the verdict; no
-// StageChecked event is emitted for such kernels — the checker never ran.
-func staticPreScreen(k *Kernel, mode StaticMode) (res CheckResult, done bool) {
+// the kernel's checked events, so cltrace can join them) and resolves
+// predicted-to-fail kernels without running them. done reports that the
+// caller should return res as the verdict; no StageChecked event is
+// emitted for such kernels — the checker never ran.
+func staticPreScreen(k *Kernel) (res CheckResult, done bool) {
 	rep := k.Analysis()
 	pred := rep.PredictedVerdict(k.Name)
 	reason := ""
@@ -130,7 +130,7 @@ func staticPreScreen(k *Kernel, mode StaticMode) (res CheckResult, done bool) {
 				Reason: reason, Predicted: pred})
 		})
 	}
-	if mode != StaticPreScreen || pred == "" {
+	if pred == "" {
 		return CheckResult{}, false
 	}
 	// A run-failure forecast from an extent-based lint reasons about §5.1

@@ -271,10 +271,6 @@ const (
 	// four dynamic executions when the analyzer already predicts the §5.2
 	// verdict, recording the forecast in the journal.
 	StaticPreScreen
-	// StaticObserve analyzes and journals the forecast but always runs the
-	// dynamic checker — the mode that measures true static-vs-dynamic
-	// agreement.
-	StaticObserve
 )
 
 // RunConfig bounds one execution.

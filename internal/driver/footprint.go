@@ -4,8 +4,9 @@
 // crash. When the symbolic footprint analysis (internal/analysis) proves
 // a finite upper extent, the driver can allocate max(Sg, extent+1)
 // elements instead and rescue the kernel; unknown bounds fall back to
-// §5.1 sizing unchanged. The mode is a process-global switch applied by
-// the shared -footprint-sizing flag, mirroring -precise-features.
+// §5.1 sizing unchanged. The mode is a process-global switch that the
+// binaries' -footprint-sizing flag sets through SetFootprintSizing,
+// mirroring -precise-features.
 package driver
 
 import (
@@ -16,7 +17,6 @@ import (
 	"clgen/internal/analysis"
 	"clgen/internal/clc"
 	"clgen/internal/journal"
-	"clgen/internal/telemetry"
 )
 
 var footprintSizing atomic.Bool
@@ -26,10 +26,6 @@ func SetFootprintSizing(on bool) { footprintSizing.Store(on) }
 
 // FootprintSizingEnabled reports whether -footprint-sizing is active.
 func FootprintSizingEnabled() bool { return footprintSizing.Load() }
-
-func init() {
-	telemetry.SetFootprintSizingApplier(SetFootprintSizing)
-}
 
 // maxFootprintSlots caps a proven extent the driver is willing to
 // allocate (per buffer, in elements). Beyond it — a pathological but

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"clgen/internal/cache"
 	"clgen/internal/platform"
+	"clgen/internal/telemetry"
 )
 
 // The world is expensive to build; share one across all tests.
@@ -224,6 +227,40 @@ func TestFigure9CLgenDominatesCLSmith(t *testing.T) {
 	}
 	if out := r.Render(); !strings.Contains(out, "CLgen") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestFigure9WarmCacheIdentical: Figure 9 recomputed from a warm
+// persistent cache, with the in-memory tier flushed as in a new process,
+// equals the cold figure, and every feature extraction of the warm pass
+// is a cache hit.
+func TestFigure9WarmCacheIdentical(t *testing.T) {
+	w := testWorld(t)
+	if err := cache.SetDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.SetDir("") })
+	misses := telemetry.Default().Counter(telemetry.Label("cache_misses_total", "cache", "features"), "")
+	cache.FlushMemory()
+	before := misses.Value()
+	cold, err := Figure9(w, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if misses.Value() == before {
+		t.Fatal("cold Figure 9 never missed the features cache")
+	}
+	cache.FlushMemory()
+	before = misses.Value()
+	warm, err := Figure9(w, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("warm Figure 9 differs from cold:\ncold %+v\nwarm %+v", cold, warm)
+	}
+	if n := misses.Value() - before; n != 0 {
+		t.Errorf("warm Figure 9 missed the features cache %d times", n)
 	}
 }
 

@@ -14,12 +14,11 @@ import (
 	"clgen/internal/cache"
 	"clgen/internal/clc"
 	"clgen/internal/ir"
-	"clgen/internal/telemetry"
 )
 
 // preciseMode selects analyzer-derived static features (analysis.Features)
-// over the AST/token heuristics, process-globally: the -precise-features
-// flag applies here through the telemetry hook, so every extraction path
+// over the AST/token heuristics, process-globally: the binaries'
+// -precise-features flag calls SetPrecise, so every extraction path
 // (corpus filter, driver, experiments) switches together.
 var preciseMode atomic.Bool
 
@@ -28,10 +27,6 @@ func SetPrecise(on bool) { preciseMode.Store(on) }
 
 // Precise reports whether precise extraction is active.
 func Precise() bool { return preciseMode.Load() }
-
-func init() {
-	telemetry.SetPreciseFeaturesApplier(SetPrecise)
-}
 
 // Static holds the static code features of one kernel.
 type Static struct {

@@ -405,28 +405,6 @@ func Emit(e Event) {
 	}
 }
 
-// closer adapts the open-journal hook's teardown to io.Closer.
-type closer func() error
-
-func (c closer) Close() error { return c() }
-
-func init() {
-	// Installing the opener here (rather than importing journal from
-	// telemetry, which would cycle: journal depends on telemetry for its
-	// counters) lets telemetry.CLIFlags own the shared -journal flag.
-	telemetry.SetJournalOpener(func(path string) (io.Closer, error) {
-		w, err := Create(path)
-		if err != nil {
-			return nil, err
-		}
-		SetActive(w)
-		return closer(func() error {
-			SetActive(nil)
-			return w.Close()
-		}), nil
-	})
-}
-
 // Read decodes a JSONL event stream.
 func Read(r io.Reader) ([]Event, error) {
 	dec := json.NewDecoder(r)

@@ -1,10 +1,10 @@
-// Package perf is the resource-observability backend behind telemetry's
-// -perf, -stall-timeout, and -perf-history flags. It contributes three
-// capabilities on top of internal/telemetry:
+// Package perf is the resource-observability backend behind the
+// binaries' -perf, -stall-timeout, and -perf-history flags. It contributes
+// three capabilities on top of internal/telemetry:
 //
 //   - Per-stage resource accounting: Sample reads process CPU time
 //     (getrusage), heap allocations and GC pauses (runtime.ReadMemStats),
-//     and the goroutine count. Installed as telemetry's resource sampler,
+//     and the goroutine count. Handed to telemetry.EnablePerfSampling,
 //     it lets every span attach cpu_s / alloc_bytes / gc_pause_s deltas
 //     and feed the perf_stage_* metrics.
 //   - Stall watchdog + flight recorder: a ring buffer of recent log,
@@ -19,10 +19,8 @@
 //     cltrace model does the same for evaluation accuracy and speedup
 //     (internal/mlobs).
 //
-// The package registers itself with telemetry via init hooks (telemetry
-// cannot import perf), so binaries opt in with a blank import:
-//
-//	import _ "clgen/internal/perf"
+// internal/cli applies the flags: it passes Sample to telemetry, starts
+// the watchdog and appends the history record on exit.
 package perf
 
 import (
@@ -30,11 +28,6 @@ import (
 
 	"clgen/internal/telemetry"
 )
-
-func init() {
-	telemetry.SetResourceSampler(Sample)
-	telemetry.SetPerfStarter(start)
-}
 
 // Sample captures the process-wide resource counters a span diffs against:
 // cumulative CPU time (user+system), cumulative heap allocations and GC

@@ -3,9 +3,6 @@ package perf
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"clgen/internal/telemetry"
 )
 
 // TestSampleMonotonic checks the counters a span diffs are non-decreasing
@@ -59,43 +56,5 @@ func TestRecorderRing(t *testing.T) {
 	}
 	if !strings.Contains(got[0].String(), "[k] c") {
 		t.Fatalf("event render = %q", got[0].String())
-	}
-}
-
-// TestStartCloser drives the telemetry.SetPerfStarter hook end to end:
-// sampling toggles on and off, and Close appends a history record built
-// from the live default tracer.
-func TestStartCloser(t *testing.T) {
-	hist := t.TempDir() + "/h.jsonl"
-	c, err := start(telemetry.PerfConfig{
-		Component:   "test",
-		Start:       time.Now().Add(-time.Second),
-		Perf:        true,
-		HistoryPath: hist,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !telemetry.PerfSamplingEnabled() {
-		t.Fatal("sampling not enabled by start")
-	}
-	sp := telemetry.Start("perf.start_test")
-	sp.End()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if telemetry.PerfSamplingEnabled() {
-		t.Fatal("sampling still enabled after Close")
-	}
-	recs, err := ReadHistory(hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := recs[len(recs)-1]
-	if _, ok := last.Metrics["perf.start_test wall_s"]; !ok {
-		t.Fatalf("history record lacks the test stage: %+v", last.Metrics)
-	}
-	if last.Env != telemetry.Env() {
-		t.Fatalf("history env = %+v, want current env", last.Env)
 	}
 }

@@ -14,9 +14,7 @@
 package pool
 
 import (
-	"flag"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -24,8 +22,8 @@ import (
 )
 
 // defaultWorkers is the process-wide worker count; <= 0 means GOMAXPROCS.
-// It is written once by flag parsing (or SetWorkers) before the pipeline
-// starts, and read thereafter.
+// It is written once through SetWorkers before the pipeline starts, and
+// read thereafter.
 var defaultWorkers int64
 
 // Workers returns the process default worker count: the value of the
@@ -38,24 +36,8 @@ func Workers() int {
 }
 
 // SetWorkers overrides the process default worker count (<= 0 restores the
-// GOMAXPROCS default). Tests and libraries embedding the pipeline use it;
-// binaries use RegisterCLIFlags.
+// GOMAXPROCS default). The binaries' -workers flag calls it when parsed.
 func SetWorkers(n int) { atomic.StoreInt64(&defaultWorkers, int64(n)) }
-
-// RegisterCLIFlags installs the shared -workers flag on fs — the sibling of
-// telemetry.RegisterCLIFlags, used by all three binaries (clgen, clexp,
-// cldrive). Parsing the flag sets the process default returned by Workers.
-func RegisterCLIFlags(fs *flag.FlagSet) {
-	fs.Func("workers", "worker goroutines for parallel pipeline stages (default GOMAXPROCS)",
-		func(v string) error {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return err
-			}
-			SetWorkers(n)
-			return nil
-		})
-}
 
 // DeriveSeed derives the RNG seed for item index of a stage keyed by base —
 // the splittable-seeding rule (a splitmix64 step over base and index) that

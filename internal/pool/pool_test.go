@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"flag"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -91,25 +90,6 @@ func TestDeriveSeedSpreads(t *testing.T) {
 	}
 	if DeriveSeed(1, 0) == DeriveSeed(0, 1) {
 		t.Error("base and index must not be interchangeable")
-	}
-}
-
-func TestWorkersFlagAndDefault(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(0)
-	if Workers() <= 0 {
-		t.Errorf("default workers %d", Workers())
-	}
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	RegisterCLIFlags(fs)
-	if err := fs.Parse([]string{"-workers", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	if Workers() != 3 {
-		t.Errorf("Workers() = %d after -workers 3", Workers())
-	}
-	if err := fs.Parse([]string{"-workers", "zebra"}); err == nil {
-		t.Error("non-numeric -workers accepted")
 	}
 }
 

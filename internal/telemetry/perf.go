@@ -13,8 +13,8 @@ import (
 // (and does not) mean for concurrent stages.
 //
 // The sampler itself lives in internal/perf (it needs getrusage and
-// runtime.ReadMemStats); telemetry only defines the hook so the tracer
-// stays dependency-free.
+// runtime.ReadMemStats); EnablePerfSampling hands it to telemetry so the
+// tracer stays dependency-free.
 type ResourceSample struct {
 	// CPUSeconds is process CPU time (user + system) since process start.
 	CPUSeconds float64
@@ -28,40 +28,30 @@ type ResourceSample struct {
 	Goroutines int
 }
 
-type samplerFunc func() ResourceSample
+var resourceSampler atomic.Pointer[func() ResourceSample]
 
-var (
-	resourceSampler atomic.Pointer[samplerFunc]
-	perfSampling    atomic.Bool
-)
-
-// SetResourceSampler installs the process resource sampler (nil removes
-// it). Called once from internal/perf's init — telemetry cannot import
-// perf, which depends on telemetry for metrics and the stage tree.
-func SetResourceSampler(fn func() ResourceSample) {
-	if fn == nil {
+// EnablePerfSampling turns per-stage resource accounting on with sample
+// as the process resource sampler, or off when sample is nil. Off (the
+// default) is overhead-free: spans never sample and carry no perf attrs.
+// Binaries pass perf.Sample under the shared -perf flag; telemetry cannot
+// import internal/perf, which depends on it for metrics and the stage
+// tree.
+func EnablePerfSampling(sample func() ResourceSample) {
+	if sample == nil {
 		resourceSampler.Store(nil)
 		return
 	}
-	f := samplerFunc(fn)
-	resourceSampler.Store(&f)
+	resourceSampler.Store(&sample)
 }
-
-// EnablePerfSampling switches per-stage resource accounting on or off.
-// Off (the default) is overhead-free: spans never call the sampler and
-// carry no perf attrs. Binaries enable it via the shared -perf flag.
-func EnablePerfSampling(on bool) { perfSampling.Store(on) }
 
 // PerfSamplingEnabled reports whether spans are capturing resource deltas.
-func PerfSamplingEnabled() bool {
-	return perfSampling.Load() && resourceSampler.Load() != nil
-}
+func PerfSamplingEnabled() bool { return resourceSampler.Load() != nil }
 
-// sampleResources takes one resource sample when sampling is enabled.
-func sampleResources() (ResourceSample, bool) {
-	if !perfSampling.Load() {
-		return ResourceSample{}, false
-	}
+// SampleResources takes one resource sample for the spans and for
+// instrumentation outside them (the nn training loop stamps per-epoch CPU
+// deltas into its trained journal events). It returns ok=false when
+// sampling is off; callers must treat the sample as optional.
+func SampleResources() (ResourceSample, bool) {
 	fp := resourceSampler.Load()
 	if fp == nil {
 		return ResourceSample{}, false
@@ -69,17 +59,10 @@ func sampleResources() (ResourceSample, bool) {
 	return (*fp)(), true
 }
 
-// SampleResources exposes one resource sample to instrumentation outside
-// the span machinery (the nn training loop stamps per-epoch CPU deltas
-// into its trained journal events). Returns ok=false when -perf is off or
-// no sampler is installed; callers must treat the sample as optional.
-func SampleResources() (ResourceSample, bool) { return sampleResources() }
-
 // EnvInfo stamps a measurement with the machine and toolchain that
-// produced it. Every BENCH_*.json snapshot, RunReport, and clperf history
-// record carries one — cross-machine comparison of wall times is
-// meaningless without it (PR 2 recorded ~1x pool speedups that were
-// simply a GOMAXPROCS=1 container).
+// produced it. Every RunReport and run-history record carries one:
+// wall times are comparable only between runs with the same stamp (a
+// GOMAXPROCS=1 container shows no pool speedup at all).
 type EnvInfo struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`

@@ -28,12 +28,8 @@ func scriptedSampler(base, delta ResourceSample) func() ResourceSample {
 
 func withFakeSampler(t *testing.T, fn func() ResourceSample) {
 	t.Helper()
-	SetResourceSampler(fn)
-	EnablePerfSampling(true)
-	t.Cleanup(func() {
-		EnablePerfSampling(false)
-		SetResourceSampler(nil)
-	})
+	EnablePerfSampling(fn)
+	t.Cleanup(func() { EnablePerfSampling(nil) })
 }
 
 // TestSpanPerfAttrs checks that with sampling enabled a span's End attaches
@@ -83,13 +79,16 @@ func TestSpanPerfAttrs(t *testing.T) {
 	}
 }
 
-// TestSpanPerfDisabled checks that without -perf no sampler runs and spans
-// stay attr-free: the accounting must be overhead-free when off.
+// TestSpanPerfDisabled checks that once sampling is turned off no sampler
+// runs and spans stay attr-free: the accounting must be overhead-free when
+// off.
 func TestSpanPerfDisabled(t *testing.T) {
 	calls := 0
-	SetResourceSampler(func() ResourceSample { calls++; return ResourceSample{} })
-	t.Cleanup(func() { SetResourceSampler(nil) })
-	// Sampler installed but sampling NOT enabled.
+	EnablePerfSampling(func() ResourceSample { calls++; return ResourceSample{} })
+	EnablePerfSampling(nil)
+	if PerfSamplingEnabled() {
+		t.Fatal("sampling still enabled after EnablePerfSampling(nil)")
+	}
 	tr := NewTracer(NewRegistry())
 	s := tr.Start("stage")
 	s.End()

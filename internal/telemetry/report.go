@@ -18,8 +18,8 @@ type RunReport struct {
 	End       time.Time `json:"end"`
 	Seconds   float64   `json:"seconds"`
 	// Env stamps the machine and toolchain that produced the run, making
-	// reports (and the BENCH_*.json snapshots built from them) comparable
-	// across machines. clperf record carries it into the perf history.
+	// reports comparable across machines. clperf record carries it into
+	// the perf history.
 	Env EnvInfo `json:"env"`
 
 	Stages     []StageNode                  `json:"stages,omitempty"`
@@ -55,10 +55,4 @@ func (r *RunReport) WriteFile(path string) error {
 		return fmt.Errorf("telemetry: write report: %w", err)
 	}
 	return nil
-}
-
-// WriteDefaultReport writes a RunReport of the default registry and
-// tracer to path: what the -report flag leaves when a run exits.
-func WriteDefaultReport(component, path string, start time.Time) error {
-	return BuildReport(component, start, Default(), DefaultTracer()).WriteFile(path)
 }

@@ -2,12 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
-	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -81,55 +78,5 @@ func TestServeBindsAndCloses(t *testing.T) {
 	}
 	if _, err := Serve("definitely-not-an-addr:xx", reg, nil); err == nil {
 		t.Error("bad address did not fail synchronously")
-	}
-}
-
-func TestCLIFlagsRuntime(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := RegisterCLIFlags(fs)
-	report := filepath.Join(t.TempDir(), "report.json")
-	if err := fs.Parse([]string{"-quiet", "-metrics-addr", "127.0.0.1:0", "-report", report}); err != nil {
-		t.Fatal(err)
-	}
-	if !f.Quiet || f.MetricsAddr == "" || f.ReportPath != report {
-		t.Fatalf("flags = %+v", f)
-	}
-	rt, err := f.Start("test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if DefaultLogger().Level() != LevelWarn {
-		t.Errorf("quiet level = %v", DefaultLogger().Level())
-	}
-	Default().Counter("t_runs_total", "").Inc()
-	sp := DefaultTracer().Start("t.stage")
-	sp.End()
-
-	code, body := get(t, "http://"+rt.Server.Addr+"/metrics")
-	if code != 200 || !strings.Contains(body, "t_runs_total") {
-		t.Errorf("live /metrics: %d %q", code, body)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r RunReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatalf("report not JSON: %v", err)
-	}
-	if r.Component != "test" || r.Counters["t_runs_total"] < 1 {
-		t.Errorf("report = %+v", r)
-	}
-	found := false
-	for _, st := range r.Stages {
-		if st.Name == "t.stage" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("report stages missing t.stage: %+v", r.Stages)
 	}
 }

@@ -108,7 +108,7 @@ func (t *Tracer) start(name string, parent *Span, implicit bool) *Span {
 	// Resource sampling happens outside the lock: ReadMemStats is not free
 	// and must not serialize unrelated spans.
 	var res0 *ResourceSample
-	if r, ok := sampleResources(); ok {
+	if r, ok := SampleResources(); ok {
 		res0 = &r
 	}
 	t.mu.Lock()
@@ -176,7 +176,7 @@ func (s *Span) End() {
 	var res1 ResourceSample
 	haveRes := false
 	if s.res0 != nil {
-		res1, haveRes = sampleResources()
+		res1, haveRes = SampleResources()
 	}
 	t := s.tracer
 	t.mu.Lock()
