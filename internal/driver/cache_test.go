@@ -114,6 +114,27 @@ func TestMeasureStableUnderMemoization(t *testing.T) {
 	}
 }
 
+// failureKernels fail their §5.2 check with each class of run failure
+// on a 64-item payload and a budget of failureSteps.
+var failureKernels = []struct {
+	name, src, want string
+	class           func(error) bool
+}{
+	{"step limit", `__kernel void A(__global int* a) { while (1) { a[0] = 1; } }`, classStepLimit,
+		func(err error) bool { return errors.Is(err, interp.ErrStepLimit) }},
+	{"fault", `__kernel void A(__global int* a) { a[get_global_id(0) + 100000] = 1; }`, classFault,
+		func(err error) bool { var mf *interp.MemFault; return errors.As(err, &mf) && mf.Write && mf.Arg == 0 }},
+	{"barrier divergence", `__kernel void A(__global int* a) {
+  if (get_local_id(0) == 0) { barrier(CLK_LOCAL_MEM_FENCE); }
+  a[get_global_id(0)] = 1;
+}`, classBarrier, func(err error) bool { return errors.Is(err, interp.ErrBarrierDivergence) }},
+	{"other", `int f(int x) { return f(x + 1); }
+__kernel void A(__global int* a) { a[get_global_id(0)] = f(1); }`, classOther,
+		func(err error) bool { return strings.Contains(err.Error(), "call depth limit") }},
+}
+
+const failureSteps = 1 << 14
+
 // TestCheckFailureClassSurvivesMemo: a run failure's Err unwraps to the
 // interpreter error of its class (errors.Is / errors.As) whether the check
 // executed or the persistent memo served it, with the same text; Steps,
@@ -126,33 +147,16 @@ func TestCheckFailureClassSurvivesMemo(t *testing.T) {
 	t.Cleanup(func() { cache.SetDir("") })
 	cache.FlushMemory()
 
-	const maxSteps = 1 << 14
-	var mf *interp.MemFault
-	for _, tc := range []struct {
-		name, src, want string
-		class           func(error) bool
-	}{
-		{"step limit", `__kernel void A(__global int* a) { while (1) { a[0] = 1; } }`, classStepLimit,
-			func(err error) bool { return errors.Is(err, interp.ErrStepLimit) }},
-		{"fault", `__kernel void A(__global int* a) { a[get_global_id(0) + 100000] = 1; }`, classFault,
-			func(err error) bool { return errors.As(err, &mf) && mf.Write && mf.Arg == 0 }},
-		{"barrier divergence", `__kernel void A(__global int* a) {
-  if (get_local_id(0) == 0) { barrier(CLK_LOCAL_MEM_FENCE); }
-  a[get_global_id(0)] = 1;
-}`, classBarrier, func(err error) bool { return errors.Is(err, interp.ErrBarrierDivergence) }},
-		{"other", `int f(int x) { return f(x + 1); }
-__kernel void A(__global int* a) { a[get_global_id(0)] = f(1); }`, classOther,
-			func(err error) bool { return strings.Contains(err.Error(), "call depth limit") }},
-	} {
+	for _, tc := range failureKernels {
 		t.Run(tc.name, func(t *testing.T) {
 			k, err := Load(tc.src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var cold, warm CheckResult
-			coldEvents := captureJournal(t, func() { cold = Check(k, 64, 1, RunConfig{MaxSteps: maxSteps}) })
+			coldEvents := captureJournal(t, func() { cold = Check(k, 64, 1, RunConfig{MaxSteps: failureSteps}) })
 			cache.FlushMemory() // only the persistent tier stays warm
-			warmEvents := captureJournal(t, func() { warm = Check(k, 64, 1, RunConfig{MaxSteps: maxSteps}) })
+			warmEvents := captureJournal(t, func() { warm = Check(k, 64, 1, RunConfig{MaxSteps: failureSteps}) })
 			if cold.CacheHit || !warm.CacheHit {
 				t.Fatalf("cache hits: cold %v, warm %v", cold.CacheHit, warm.CacheHit)
 			}
@@ -164,8 +168,8 @@ __kernel void A(__global int* a) { a[get_global_id(0)] = f(1); }`, classOther,
 			if cold.Err.Error() != warm.Err.Error() || cold.Steps != warm.Steps || cold.Steps <= 0 {
 				t.Errorf("cold %q after %d steps, warm %q after %d", cold.Err, cold.Steps, warm.Err, warm.Steps)
 			}
-			if tc.name == "step limit" && cold.Steps != maxSteps+1 {
-				t.Errorf("steps = %d, want %d", cold.Steps, maxSteps+1)
+			if tc.name == "step limit" && cold.Steps != failureSteps+1 {
+				t.Errorf("steps = %d, want %d", cold.Steps, failureSteps+1)
 			}
 			if !journal.Equivalent(coldEvents, warmEvents) {
 				t.Error("cold and warm check journals not equivalent")

@@ -164,12 +164,20 @@ func check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 	if err != nil {
 		return runFailure(err)
 	}
-	a2, b2 := a1.Clone(), b1.Clone()
-	a1Pre, b1Pre := a1.Clone(), b1.Clone()
-
 	if len(a1.Outputs()) == 0 {
 		return CheckResult{Verdict: NoOutput}
 	}
+	// A1 runs first, so a launch proven to exhaust its budget fails there,
+	// exactly as its execution would (DESIGN.md §7, "Proven step limits").
+	if b := k.Env.BoundSteps(k.Name, a1.Args, a1.launch(cfg)); b.RunsOut() {
+		telemetry.Default().Counter("driver_step_limit_proofs_total",
+			"Checks whose step-limit failure was proven instead of executed.").Inc()
+		res := runFailure(interp.ErrStepLimit)
+		res.Steps = b.Budget + 1
+		return res
+	}
+	a2, b2 := a1.Clone(), b1.Clone()
+	a1Pre, b1Pre := a1.Clone(), b1.Clone()
 
 	var profA1 *interp.Profile
 	var steps int64

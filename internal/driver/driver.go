@@ -285,9 +285,14 @@ type RunConfig struct {
 func (k *Kernel) Run(p *Payload, cfg RunConfig) (*interp.Profile, error) {
 	telemetry.Default().Counter("driver_kernel_runs_total",
 		"Kernel executions on the simulated device.").Inc()
-	return k.Env.Run(k.Name, p.Args, interp.RunConfig{
+	return k.Env.Run(k.Name, p.Args, p.launch(cfg))
+}
+
+// launch is the NDRange and budget of one execution of p.
+func (p *Payload) launch(cfg RunConfig) interp.RunConfig {
+	return interp.RunConfig{
 		GlobalSize: [3]int{p.GlobalSize, 1, 1},
 		LocalSize:  [3]int{p.LocalSize, 1, 1},
 		MaxSteps:   cfg.MaxSteps,
-	})
+	}
 }

@@ -22,6 +22,40 @@ const stepLimitSrc = `__kernel void A(__global const float* a, __global float* b
   }
 }`
 
+// iterateSrc is the campaign's other step-limit shape: a guard on the
+// work-item id, then a fixed-point iteration as long as the payload size.
+const iterateSrc = `__kernel void A(__global const uint* a, __global uint* b, const int c, const int d) {
+  int e = get_global_id(0);
+  if (e >= c) {
+    return;
+  }
+  float f = a[e];
+  for (int g = 0; g < d; g++) {
+    f = 0.5f * (f + a[e] / (f + 1.0f));
+  }
+  b[e] = f;
+}`
+
+// cfdSrc is Rodinia's cfd kernel from the suites: far inside its budget,
+// and outside the fragment BoundSteps analyzes at its first %.
+const cfdSrc = `__kernel void cfd_flux(__global const float* density,
+                       __global const float* momentum,
+                       __global float* fluxes,
+                       const int n) {
+  int gid = get_global_id(0);
+  float d = density[gid];
+  float m = momentum[gid];
+  float pressure = 0.4f * (m - 0.5f * d * d);
+  float flux = 0.0f;
+  for (int nb = 0; nb < 4; nb++) {
+    int j = (gid + nb * 33 + 1) % n;
+    float dn = density[j];
+    float mn = momentum[j];
+    flux += (dn - d) * 0.25f + (mn - m) * 0.125f + pressure * 0.01f;
+  }
+  fluxes[gid] = flux;
+}`
+
 // benchEnv compiles src for a benchmark.
 func benchEnv(b *testing.B, src string) *Env {
 	f, err := clc.Parse(src)
@@ -61,6 +95,41 @@ func BenchmarkStepLimit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/steps, "ns/step")
+}
+
+// BenchmarkProveStepLimit times BoundSteps per proof on §5.1 payloads of
+// 2048 work-items and the campaign's budget: on both step-limit shapes,
+// which it proves to run out, and on the cfd kernel, where the proof gives
+// up, the cost every other check pays.
+func BenchmarkProveStepLimit(b *testing.B) {
+	const n = 2048
+	for _, bc := range []struct {
+		name, src string
+		proven    bool
+	}{{"sum", stepLimitSrc, true}, {"iterate", iterateSrc, true}, {"cfd", cfdSrc, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			env := benchEnv(b, bc.src)
+			name := env.Kernels()[0]
+			fd, _ := env.Kernel(name)
+			args := make([]Value, len(fd.Params))
+			for i, p := range fd.Params {
+				if pt, ok := p.Type.(*clc.PointerType); ok {
+					args[i] = PtrValue(&Pointer{Buf: NewBuffer(elemKind(pt), n, clc.Global), Elem: pt.Elem})
+				} else {
+					args[i] = IntValue(clc.Int, n)
+				}
+			}
+			cfg := RunConfig{GlobalSize: [3]int{n, 1, 1}, LocalSize: [3]int{64, 1, 1}, MaxSteps: 16 << 20}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if env.BoundSteps(name, args, cfg).RunsOut() != bc.proven {
+					b.Fatalf("proven = %v, want %v", !bc.proven, bc.proven)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/proof")
+		})
+	}
 }
 
 // lockstepSrc is the suites' reduction shape: a tree sum in local memory

@@ -35,15 +35,19 @@ const (
 // selects. The invariants: no Go panic; a launch that consumed more than
 // its budget (Profile.Steps) failed with ErrStepLimit, and one that failed
 // with ErrStepLimit consumed exactly one step past it; every work-item
-// goroutine of a lockstep launch has exited once Run returns; and the
-// typed compilation, the untyped one (NewUntypedEnv) and work-item
-// goroutines in place of parking (NewGoroutineEnv) agree on every buffer,
-// MaxSlot, the whole Profile and the error's text, class and fault.
+// goroutine of a lockstep launch has exited once Run returns; the typed
+// compilation, the untyped one (NewUntypedEnv) and work-item goroutines in
+// place of parking (NewGoroutineEnv) agree on every buffer, MaxSlot, the
+// whole Profile and the error's text, class and fault; and BoundSteps
+// holds: its bound is at most the steps of a launch the budget did not
+// stop, a launch it proves free of other errors ends with none or with
+// ErrStepLimit, and one it proves to run out fails with ErrStepLimit after
+// exactly fuzzSteps+1 steps.
 func FuzzRun(f *testing.F) {
 	for _, b := range suites.All() {
 		f.Add(b.Src, uint8(argsDeclared))
 	}
-	for _, path := range []string{"interp_test.go", "park_test.go"} {
+	for _, path := range []string{"interp_test.go", "park_test.go", "bound_test.go"} {
 		for _, src := range fixtureKernels(f, path) {
 			for v := range uint8(argVariants) {
 				f.Add(src, v)
@@ -84,16 +88,26 @@ func FuzzRun(f *testing.F) {
 			if !ok {
 				continue
 			}
+			bound := env.BoundSteps(name, args, cfg)
 			before := runtime.NumGoroutine()
 			prof, err := env.Run(name, args, cfg)
+			limit := errors.Is(err, interp.ErrStepLimit)
 			if prof != nil {
-				limit := errors.Is(err, interp.ErrStepLimit)
 				if prof.Steps > fuzzSteps && !limit {
 					t.Errorf("%s: consumed %d steps of %d without ErrStepLimit (err %v)", name, prof.Steps, fuzzSteps, err)
 				}
 				if limit && prof.Steps != fuzzSteps+1 {
 					t.Errorf("%s: ErrStepLimit after %d steps, want %d", name, prof.Steps, fuzzSteps+1)
 				}
+				if !limit && bound.Steps > prof.Steps {
+					t.Errorf("%s: bound %d exceeds the %d steps of the launch", name, bound.Steps, prof.Steps)
+				}
+			}
+			if bound.Safe && err != nil && !limit {
+				t.Errorf("%s: proven free of other errors, failed with %v", name, err)
+			}
+			if bound.RunsOut() && !limit {
+				t.Errorf("%s: proven to run out (bound %d), ended with %v", name, bound.Steps, err)
 			}
 			got := outcome(name, prof, err, args)
 			plainArgs, _ := fuzzArgs(fd, variant%argVariants)
