@@ -1,7 +1,7 @@
-// End-to-end gates: each test below builds the commands it drives and
-// checks their exit codes and the journals and run histories they leave,
-// through the same packages (internal/journal, internal/perf) the
-// commands use.
+// End-to-end gates: each test below builds the commands or examples it
+// drives and checks their exit codes and the journals and run histories
+// they leave, through the same packages (internal/journal, internal/perf)
+// the commands use.
 package clgen_test
 
 import (
@@ -21,7 +21,7 @@ import (
 	"clgen/internal/telemetry"
 )
 
-// bins holds the commands the gate tests build: each at most once per
+// bins holds the binaries the gate tests build: each at most once per
 // test process, into one temporary directory TestMain removes.
 var bins struct {
 	sync.Mutex
@@ -38,21 +38,27 @@ func TestMain(m *testing.M) {
 }
 
 // command builds ./cmd/<name> on first use and returns the binary's path.
-// The go test cache cannot see what a child go build reads, so command
-// stats the sources that only the commands link, cmd/<name> and
-// internal/cli: a change there then reruns the gates. Changes to the rest
-// of internal/ already do, through this package's imports.
 func command(t *testing.T, name string) string {
+	return build(t, filepath.Join("cmd", name), filepath.Join("internal", "cli"))
+}
+
+// build builds the main package in dir on first use and returns the
+// binary's path. The go test cache cannot see what a child go build
+// reads, so build stats the sources of dir and of extra, the packages
+// only the binaries link (internal/cli for the commands): a change there
+// then reruns the test instead of serving (cached). Changes to the rest
+// of internal/ already do, through this package's imports.
+func build(t *testing.T, dir string, extra ...string) string {
 	t.Helper()
 	bins.Lock()
 	defer bins.Unlock()
-	if p, ok := bins.paths[name]; ok {
+	if p, ok := bins.paths[dir]; ok {
 		return p
 	}
-	for _, dir := range []string{filepath.Join("cmd", name), filepath.Join("internal", "cli")} {
-		srcs, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	for _, d := range append([]string{dir}, extra...) {
+		srcs, err := filepath.Glob(filepath.Join(d, "*.go"))
 		if err != nil || len(srcs) == 0 {
-			t.Fatalf("no sources in %s: %v", dir, err)
+			t.Fatalf("no sources in %s: %v", d, err)
 		}
 		for _, src := range srcs {
 			if _, err := os.Stat(src); err != nil {
@@ -67,11 +73,11 @@ func command(t *testing.T, name string) string {
 		}
 		bins.paths = map[string]string{}
 	}
-	p := filepath.Join(bins.dir, name)
-	if out, err := exec.Command("go", "build", "-o", p, "./cmd/"+name).CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/%s: %v\n%s", name, err, out)
+	p := filepath.Join(bins.dir, filepath.Base(dir))
+	if out, err := exec.Command("go", "build", "-o", p, "./"+filepath.ToSlash(dir)).CombinedOutput(); err != nil {
+		t.Fatalf("go build ./%s: %v\n%s", dir, err, out)
 	}
-	bins.paths[name] = p
+	bins.paths[dir] = p
 	return p
 }
 
@@ -308,5 +314,25 @@ func TestLintExitCodes(t *testing.T) {
 		{"-perf-history", filepath.Join(missing, "hist.jsonl")},
 	} {
 		run(t, 2, nil, "cllint", append(append([]string{"-quiet"}, args...), kernel)...)
+	}
+}
+
+// TestExamplesRun: every program under examples/ runs to exit 0. The
+// examples are the only callers of corpus.Build, corpus.FilterSample and
+// Profile.ComputeOps outside tests, so they must run, not just compile.
+func TestExamplesRun(t *testing.T) {
+	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no examples: %v", err)
+	}
+	for _, src := range mains {
+		dir := filepath.Dir(src)
+		t.Run(filepath.Base(dir), func(t *testing.T) {
+			cmd := exec.Command(build(t, dir))
+			cmd.Dir = t.TempDir()
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("%s: %v\n%s", dir, err, out)
+			}
+		})
 	}
 }

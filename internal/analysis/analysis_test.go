@@ -646,7 +646,7 @@ kernel void A(global int* a, const int n) {
   a[1] = 3;
 }`)
 	g := BuildCFG(fn)
-	idom := g.Dominators()
+	idom := dominatorsBy(g, func(b *Block) []*Block { return b.Succs })
 	if !Dominates(idom, g.Entry, g.Exit) {
 		t.Error("entry must dominate exit")
 	}

@@ -331,57 +331,6 @@ func (g *Graph) ReversePostorder() []*Block {
 	return rpo
 }
 
-// Dominators computes the immediate dominator of every reachable block
-// using the classic iterative algorithm (Cooper/Harvey/Kennedy). The
-// returned map contains idom[Entry] == Entry.
-func (g *Graph) Dominators() map[*Block]*Block {
-	rpo := g.ReversePostorder()
-	index := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		index[b] = i
-	}
-	idom := make(map[*Block]*Block, len(rpo))
-	idom[g.Entry] = g.Entry
-	intersect := func(a, b *Block) *Block {
-		for a != b {
-			for index[a] > index[b] {
-				a = idom[a]
-			}
-			for index[b] > index[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == g.Entry {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if _, ok := idom[p]; !ok {
-					continue // unreachable or not yet processed
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom == nil {
-				continue
-			}
-			if idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
 // Dominates reports whether a dominates b under the given idom map.
 func Dominates(idom map[*Block]*Block, a, b *Block) bool {
 	for {

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // This file implements the symbolic-affine domain of the footprint
 // analysis (footprint.go): expressions of the form
@@ -45,7 +41,6 @@ type symExpr struct {
 func symConst(c int64) symExpr { return symExpr{ok: true, c: c} }
 func symGid() symExpr          { return symExpr{ok: true, gid: 1} }
 func symLid() symExpr          { return symExpr{ok: true, lid: 1} }
-func symGsz() symExpr          { return symExpr{ok: true, gsz: 1} }
 
 func symParam(idx int) symExpr {
 	return symExpr{ok: true, prm: map[int]int64{idx: 1}}
@@ -173,60 +168,6 @@ func resolveSym(e symExpr) (lo, hi bnd, ok bool) {
 	return lo, hi, true
 }
 
-// fmtSym renders an expression for diagnostics: "2*gid+n-1", "G", "0".
-// params supplies parameter names; a missing entry falls back to p<i>.
-func fmtSym(e symExpr, params []*Var) string {
-	if !e.ok {
-		return "?"
-	}
-	var sb strings.Builder
-	term := func(c int64, name string) {
-		if c == 0 {
-			return
-		}
-		switch {
-		case sb.Len() == 0 && c == 1:
-			sb.WriteString(name)
-		case sb.Len() == 0 && c == -1:
-			sb.WriteString("-" + name)
-		case sb.Len() == 0:
-			fmt.Fprintf(&sb, "%d*%s", c, name)
-		case c == 1:
-			sb.WriteString("+" + name)
-		case c == -1:
-			sb.WriteString("-" + name)
-		case c > 0:
-			fmt.Fprintf(&sb, "+%d*%s", c, name)
-		default:
-			fmt.Fprintf(&sb, "%d*%s", c, name)
-		}
-	}
-	term(e.gid, "gid")
-	term(e.lid, "lid")
-	term(e.gsz, "G")
-	idxs := make([]int, 0, len(e.prm))
-	for i := range e.prm {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		name := fmt.Sprintf("p%d", i)
-		if i < len(params) && params[i] != nil {
-			name = params[i].Name
-		}
-		term(e.prm[i], name)
-	}
-	switch {
-	case sb.Len() == 0:
-		fmt.Fprintf(&sb, "%d", e.c)
-	case e.c > 0:
-		fmt.Fprintf(&sb, "+%d", e.c)
-	case e.c < 0:
-		fmt.Fprintf(&sb, "%d", e.c)
-	}
-	return sb.String()
-}
-
 // symIval bounds one access's element offset per executing work item:
 // the offset lies in [lo(gid,...), hi(gid,...)]. att additionally claims
 // the work item really touches both endpoints (an exactly-decomposed
@@ -285,17 +226,6 @@ func scaleSymIval(x symIval, c int64) symIval {
 		return symIval{}
 	}
 	return r
-}
-
-// fmtSymIval renders an access offset range: "2*gid", "[gid, gid+3]".
-func fmtSymIval(x symIval, params []*Var) string {
-	if !x.ok {
-		return "?"
-	}
-	if x.isPoint() {
-		return fmtSym(x.lo, params)
-	}
-	return fmt.Sprintf("[%s, %s]", fmtSym(x.lo, params), fmtSym(x.hi, params))
 }
 
 // substSym rewrites a callee-local expression into caller terms: each

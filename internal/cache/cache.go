@@ -12,10 +12,11 @@
 // layer: one goroutine computes, the rest wait and share the result.
 //
 // Correctness contract: only pure, content-keyed computations may be
-// memoized, and cached values must be immutable (set Clone when callers
-// mutate results). Every memo carries a Version stamp — bump it whenever
-// the computation changes (analyzer passes, rewriter rules, IR lowering)
-// so stale persistent entries are discarded instead of poisoning output.
+// memoized, and cached values must be immutable: a memo hands every
+// caller the stored value itself. Every memo carries a Version stamp —
+// bump it whenever the computation changes (analyzer passes, rewriter
+// rules, IR lowering) so stale persistent entries are discarded instead
+// of poisoning output.
 // Warm- and cold-cache runs must stay byte-identical.
 package cache
 
@@ -53,24 +54,13 @@ type Config[V any] struct {
 	// different version is stale and recomputed. Bump it whenever the
 	// memoized computation changes.
 	Version string
-	// Capacity bounds the in-memory tier (entries, not bytes);
-	// 0 means DefaultCapacity.
-	Capacity int
 	// Size estimates a value's resident bytes for the cache_bytes_total
 	// gauge; nil counts every entry as 1 byte.
 	Size func(V) int
-	// Clone deep-copies values crossing the cache boundary. Set it when
-	// callers mutate results (e.g. profiles fed to an aggregator);
-	// nil shares the stored value, which is only safe for immutable V.
-	Clone func(V) V
-	// Disk opts the memo into the persistent tier when a -cache-dir is
-	// set. V must round-trip through encoding/json.
-	Disk bool
 }
 
-// DefaultCapacity is the in-memory entry bound used when Config.Capacity
-// is zero.
-const DefaultCapacity = 4096
+// Capacity bounds each memo's in-memory tier (entries, not bytes).
+const Capacity = 4096
 
 const numShards = 16
 
@@ -93,10 +83,10 @@ type flight[V any] struct {
 }
 
 // Memo is one two-tier content-addressed cache. Safe for concurrent use.
+// Values must round-trip through encoding/json for the persistent tier.
 type Memo[V any] struct {
-	cfg      Config[V]
-	capacity int // per shard
-	shards   [numShards]shard[V]
+	cfg    Config[V]
+	shards [numShards]shard[V]
 
 	flightMu sync.Mutex
 	flights  map[string]*flight[V]
@@ -107,17 +97,9 @@ type Memo[V any] struct {
 
 // New creates (and registers for FlushMemory) a memo.
 func New[V any](cfg Config[V]) *Memo[V] {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	per := cfg.Capacity / numShards
-	if per < 1 {
-		per = 1
-	}
 	m := &Memo[V]{
-		cfg:      cfg,
-		capacity: per,
-		flights:  map[string]*flight[V]{},
+		cfg:     cfg,
+		flights: map[string]*flight[V]{},
 		hits: telemetry.Default().Counter(telemetry.Label("cache_hits_total", "cache", cfg.Name),
 			"Memoized results served without recomputation, by cache."),
 		misses: telemetry.Default().Counter(telemetry.Label("cache_misses_total", "cache", cfg.Name),
@@ -151,13 +133,6 @@ func (m *Memo[V]) size(v V) int {
 	return m.cfg.Size(v)
 }
 
-func (m *Memo[V]) clone(v V) V {
-	if m.cfg.Clone == nil {
-		return v
-	}
-	return m.cfg.Clone(v)
-}
-
 // get probes the in-memory tier.
 func (m *Memo[V]) get(key string) (V, bool) {
 	s := m.shardFor(key)
@@ -173,7 +148,7 @@ func (m *Memo[V]) get(key string) (V, bool) {
 }
 
 // put installs a value in the in-memory tier, evicting LRU entries past
-// the shard capacity.
+// the shard's share of Capacity.
 func (m *Memo[V]) put(key string, v V) {
 	s := m.shardFor(key)
 	sz := m.size(v)
@@ -188,7 +163,7 @@ func (m *Memo[V]) put(key string, v V) {
 	}
 	s.idx[key] = s.ll.PushFront(&entry[V]{key: key, val: v, size: sz})
 	m.bytes.Add(float64(sz))
-	for s.ll.Len() > m.capacity {
+	for s.ll.Len() > Capacity/numShards {
 		old := s.ll.Back()
 		e := old.Value.(*entry[V])
 		s.ll.Remove(old)
@@ -207,7 +182,7 @@ func (m *Memo[V]) put(key string, v V) {
 func (m *Memo[V]) Do(key string, compute func() (V, error)) (V, bool, error) {
 	if v, ok := m.get(key); ok {
 		m.hits.Inc()
-		return m.clone(v), true, nil
+		return v, true, nil
 	}
 
 	m.flightMu.Lock()
@@ -224,7 +199,7 @@ func (m *Memo[V]) Do(key string, compute func() (V, error)) (V, bool, error) {
 		// Collapsed onto the leader's computation: the work was skipped,
 		// which is a hit for accounting purposes.
 		m.hits.Inc()
-		return m.clone(fl.val), true, nil
+		return fl.val, true, nil
 	}
 	fl := &flight[V]{done: make(chan struct{})}
 	m.flights[key] = fl
@@ -238,13 +213,11 @@ func (m *Memo[V]) Do(key string, compute func() (V, error)) (V, bool, error) {
 	}()
 
 	// Leader: disk tier first, then compute.
-	if m.cfg.Disk {
-		if v, ok := m.diskGet(key); ok {
-			m.put(key, m.clone(v))
-			m.hits.Inc()
-			fl.val = v
-			return m.clone(v), true, nil
-		}
+	if v, ok := m.diskGet(key); ok {
+		m.put(key, v)
+		m.hits.Inc()
+		fl.val = v
+		return v, true, nil
 	}
 	v, err := compute()
 	if err != nil {
@@ -254,10 +227,8 @@ func (m *Memo[V]) Do(key string, compute func() (V, error)) (V, bool, error) {
 		return zero, false, err
 	}
 	m.misses.Inc()
-	m.put(key, m.clone(v))
-	if m.cfg.Disk {
-		m.diskPut(key, v)
-	}
+	m.put(key, v)
+	m.diskPut(key, v)
 	fl.val = v
 	return v, false, nil
 }

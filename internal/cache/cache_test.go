@@ -23,23 +23,23 @@ func TestKeyLengthPrefixesParts(t *testing.T) {
 	}
 }
 
-// TestMemoStorm hammers one memo from many goroutines over a small key
-// space with a capacity far below the key count, so hits, misses,
-// singleflight collapses, and LRU evictions all interleave. Run under
-// -race via make check; the invariant checked here is the accounting one:
-// every Do reports either a hit or a miss, never both, never neither.
+// TestMemoStorm hammers one memo from many goroutines over a key space a
+// quarter larger than Capacity, so hits, misses, singleflight collapses,
+// and LRU evictions all interleave. Run under -race via make check; the
+// invariant checked here is the accounting one: every Do reports either a
+// hit or a miss, never both, never neither.
 func TestMemoStorm(t *testing.T) {
-	m := New(Config[int]{Name: "test-storm", Capacity: 64})
+	m := New(Config[int]{Name: "test-storm"})
 	h0, ms0 := m.hits.Value(), m.misses.Value()
 	var computes atomic.Int64
 	var wg sync.WaitGroup
-	const goroutines, iters = 16, 200
+	const goroutines, keys = 16, Capacity + Capacity/4
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				want := (g + i) % 97
+			for i := 0; i < keys; i++ {
+				want := (g + i) % keys
 				key := Key(fmt.Sprintf("k%d", want))
 				v, _, err := m.Do(key, func() (int, error) {
 					computes.Add(1)
@@ -57,7 +57,7 @@ func TestMemoStorm(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	total := goroutines * iters
+	total := goroutines * keys
 	hits, misses := m.hits.Value()-h0, m.misses.Value()-ms0
 	if hits+misses != int64(total) {
 		t.Errorf("hits %d + misses %d != %d lookups", hits, misses, total)
@@ -65,27 +65,32 @@ func TestMemoStorm(t *testing.T) {
 	if misses != computes.Load() {
 		t.Errorf("misses %d != computes %d (errors never cached, so these match)", misses, computes.Load())
 	}
-	if m.Len() > 64 {
-		t.Errorf("resident entries %d exceed capacity 64", m.Len())
+	if m.Len() > Capacity {
+		t.Errorf("resident entries %d exceed capacity %d", m.Len(), Capacity)
 	}
 	if m.evictions.Value() == 0 {
-		t.Error("97 keys under capacity 64 must evict")
+		t.Errorf("%d keys under capacity %d must evict", keys, Capacity)
 	}
 }
 
 func TestMemoLRUEvictsOldest(t *testing.T) {
-	// Capacity below numShards collapses to 1 entry per shard: inserting
-	// two keys that land in the same shard must evict the first.
-	m := New(Config[string]{Name: "test-lru", Capacity: 1})
-	for i := 0; i < 64; i++ {
+	// Each shard holds Capacity/numShards entries; a quarter more keys
+	// than Capacity overflows every shard, so the least recently used
+	// key, the first, must be evicted.
+	m := New(Config[string]{Name: "test-lru"})
+	first := Key("fill0")
+	for i := 0; i < Capacity+Capacity/4; i++ {
 		key := Key(fmt.Sprintf("fill%d", i))
 		m.Do(key, func() (string, error) { return "v", nil })
 	}
-	if m.Len() > numShards {
-		t.Errorf("resident %d, want <= %d (1 per shard)", m.Len(), numShards)
+	if m.Len() > Capacity {
+		t.Errorf("resident %d, want <= %d", m.Len(), Capacity)
 	}
 	if m.evictions.Value() == 0 {
 		t.Error("no evictions recorded")
+	}
+	if _, hit, _ := m.Do(first, func() (string, error) { return "v", nil }); hit {
+		t.Error("least recently used key still resident")
 	}
 }
 
@@ -164,20 +169,6 @@ func TestErrorsNeverCached(t *testing.T) {
 	}
 }
 
-func TestCloneIsolatesCachedValue(t *testing.T) {
-	m := New(Config[[]int]{
-		Name:  "test-clone",
-		Clone: func(v []int) []int { return append([]int(nil), v...) },
-	})
-	key := Key("slice")
-	v1, _, _ := m.Do(key, func() ([]int, error) { return []int{1, 2}, nil })
-	v1[0] = 99
-	v2, hit, _ := m.Do(key, func() ([]int, error) { return nil, errors.New("unreachable") })
-	if !hit || v2[0] != 1 {
-		t.Errorf("cached value corrupted by caller mutation: hit=%v v=%v", hit, v2)
-	}
-}
-
 // withDisk points the persistent tier at a temp dir for one test.
 func withDisk(t *testing.T) string {
 	t.Helper()
@@ -191,7 +182,7 @@ func withDisk(t *testing.T) string {
 
 func TestDiskTierSurvivesMemoryFlush(t *testing.T) {
 	dir := withDisk(t)
-	m := New(Config[string]{Name: "test-disk", Version: "v1", Disk: true})
+	m := New(Config[string]{Name: "test-disk", Version: "v1"})
 	key := Key("persist-me")
 	m.Do(key, func() (string, error) { return "stored", nil })
 
@@ -214,7 +205,7 @@ func TestDiskTierSurvivesMemoryFlush(t *testing.T) {
 
 func TestDiskCorruptAndStaleEntriesRecovered(t *testing.T) {
 	dir := withDisk(t)
-	m := New(Config[string]{Name: "test-badjson", Version: "v2", Disk: true})
+	m := New(Config[string]{Name: "test-badjson", Version: "v2"})
 	key := Key("fragile")
 	m.Do(key, func() (string, error) { return "good", nil })
 	path := entryPath(dir, "test-badjson", key)
@@ -252,7 +243,7 @@ func TestDiskDisabledWithoutDir(t *testing.T) {
 	if Dir() != "" {
 		t.Skip("persistent tier active from another test")
 	}
-	m := New(Config[string]{Name: "test-nodisk", Version: "v1", Disk: true})
+	m := New(Config[string]{Name: "test-nodisk", Version: "v1"})
 	key := Key("ephemeral")
 	m.Do(key, func() (string, error) { return "x", nil })
 	m.Flush()

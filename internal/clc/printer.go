@@ -26,20 +26,6 @@ func PrintFile(f *File) string {
 	return p.b.String()
 }
 
-// PrintFunc renders a single function definition.
-func PrintFunc(fd *FuncDecl) string {
-	p := &Printer{}
-	p.printDecl(fd)
-	return p.b.String()
-}
-
-// PrintStmt renders a single statement (used in tests and diagnostics).
-func PrintStmt(s Stmt) string {
-	p := &Printer{}
-	p.printStmt(s)
-	return p.b.String()
-}
-
 // PrintExpr renders a single expression.
 func PrintExpr(e Expr) string {
 	p := &Printer{}

@@ -138,23 +138,6 @@ func (g *CLgen) Synthesize(n int, opts model.SampleOpts, seed int64) ([]string, 
 	return g.SynthesizeWorkers(n, opts, seed, 0)
 }
 
-// SynthesizeWorkers is Synthesize with an explicit worker count (<= 0
-// means the pool default). Attempt i samples from an RNG derived from
-// (seed, i) and attempts are accepted in index order, so the returned
-// kernels and stats are identical for every worker count.
-func (g *CLgen) SynthesizeWorkers(n int, opts model.SampleOpts, seed int64, workers int) ([]string, SynthesisStats, error) {
-	return g.synthesizeScan("core.synthesize", n, workers, func(i int) synthAttempt {
-		done := telemetry.BeginWorkf("core.synthesize", "attempt-%05d", i)
-		defer done()
-		start := time.Now()
-		rng := rand.New(rand.NewSource(pool.DeriveSeed(seed, int64(i))))
-		k := g.Model.SampleKernel(rng, opts)
-		res, hit := corpus.FilterCached(k, corpus.FilterOpts{Static: g.Static})
-		return synthAttempt{kernel: k, res: res, cached: hit,
-			durMS: float64(time.Since(start)) / float64(time.Millisecond)}
-	})
-}
-
 // synthAttempt is one sampled-and-filtered synthesis candidate.
 type synthAttempt struct {
 	kernel string
@@ -182,15 +165,15 @@ func emitSampleFeatures(kid, src string) {
 	}
 }
 
-// synthesizeScan is the shared §4.3 synthesis loop behind
-// SynthesizeWorkers and SynthesizeRecursiveWorkers: draw attempt i's
-// candidate on worker goroutines (draw must be pure per index — derive
-// RNGs from the index, never share one), accept in strict attempt order.
-// Acceptance bookkeeping (counters, dedup, the attempt budget) stays
-// sequential inside the accept callback — journal emission lives there
-// too, so the event stream is deterministic for every worker count.
-func (g *CLgen) synthesizeScan(stage string, n, workers int, draw func(i int) synthAttempt) ([]string, SynthesisStats, error) {
-	span := telemetry.Start(stage).SetAttr("requested", n)
+// SynthesizeWorkers is Synthesize with an explicit worker count (<= 0
+// means the pool default). Attempt i samples from an RNG derived from
+// (seed, i) on a worker goroutine, and attempts are accepted in strict
+// index order: acceptance bookkeeping (counters, dedup, the attempt
+// budget) and journal emission stay sequential inside the accept
+// callback, so the returned kernels, stats and event stream are identical
+// for every worker count.
+func (g *CLgen) SynthesizeWorkers(n int, opts model.SampleOpts, seed int64, workers int) ([]string, SynthesisStats, error) {
+	span := telemetry.Start("core.synthesize").SetAttr("requested", n)
 	defer span.End()
 	reg := telemetry.Default()
 	attempted := reg.Counter("sampler_samples_attempted_total", "Samples drawn from the language model.")
@@ -202,6 +185,16 @@ func (g *CLgen) synthesizeScan(stage string, n, workers int, draw func(i int) sy
 	maxAttempts := n * 40
 	if maxAttempts < 400 {
 		maxAttempts = 400
+	}
+	draw := func(i int) synthAttempt {
+		done := telemetry.BeginWorkf("core.synthesize", "attempt-%05d", i)
+		defer done()
+		start := time.Now()
+		rng := rand.New(rand.NewSource(pool.DeriveSeed(seed, int64(i))))
+		k := g.Model.SampleKernel(rng, opts)
+		res, hit := corpus.FilterCached(k, corpus.FilterOpts{Static: g.Static})
+		return synthAttempt{kernel: k, res: res, cached: hit,
+			durMS: float64(time.Since(start)) / float64(time.Millisecond)}
 	}
 	pool.Scan(workers, maxAttempts, draw,
 		func(i int, a synthAttempt) bool {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
-	"clgen/internal/clc"
 	"clgen/internal/corpus"
 	"clgen/internal/github"
 	"clgen/internal/model"
@@ -131,45 +129,13 @@ func TestUnknownBackendRejected(t *testing.T) {
 	}
 }
 
-func TestSampleWithHelpersResolvesMissingFunctions(t *testing.T) {
-	g := build(t)
-	// Recursive synthesis must at minimum not regress plain synthesis...
-	kernels, stats, err := g.SynthesizeRecursive(10, model.SampleOpts{Seed: model.FreeSeed}, 21)
-	if err != nil {
-		t.Fatalf("%v (%+v)", err, stats)
-	}
-	for i, k := range kernels {
-		if res := corpus.FilterSample(k); !res.OK {
-			t.Errorf("recursive kernel %d fails filter (%s)", i, res.Reason)
-		}
-	}
-}
-
-// TestSampleWithHelpersReturnsFinalVerdict: the returned FilterResult must
-// be the verdict on the returned unit — callers tally reject reasons from
-// it directly instead of re-filtering.
-func TestSampleWithHelpersReturnsFinalVerdict(t *testing.T) {
-	g := build(t)
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		unit, res, _ := g.SampleWithHelpers(rng, model.SampleOpts{Seed: model.FreeSeed})
-		want := corpus.FilterEx(unit, corpus.FilterOpts{Static: g.Static})
-		if res.OK != want.OK || res.Reason != want.Reason {
-			t.Errorf("seed %d: returned verdict (%v, %q) != fresh filter (%v, %q)",
-				seed, res.OK, res.Reason, want.OK, want.Reason)
-		}
-	}
-}
-
-// TestRecursiveSynthesisHonorsStaticChecks is the regression test for the
-// strict-mode bypass: SampleWithHelpers used to filter with
-// corpus.FilterSample, which ignores g.Static, so -static-checks recursive
-// synthesis accepted statically-flagged kernels. A model trained on a
-// corpus of one statically-flawed kernel (uninitialized read — the base
-// §4.3 filter accepts it, the analyzer rejects it) reproduces that kernel
-// near-verbatim, so a strict recursive run must reject essentially every
-// sample with a static: reason, and must never accept a flagged unit.
-func TestRecursiveSynthesisHonorsStaticChecks(t *testing.T) {
+// TestSynthesisHonorsStaticChecks: -static-checks synthesis must filter
+// with the analyzer too, not just the base §4.3 filter. A model trained on
+// a corpus of one statically-flawed kernel (uninitialized read — the base
+// filter accepts it, the analyzer rejects it) reproduces that kernel
+// near-verbatim, so a strict run must reject essentially every sample with
+// a static: reason, and must never accept a flagged kernel.
+func TestSynthesisHonorsStaticChecks(t *testing.T) {
 	flawed := "__kernel void A(__global float* a) {\n  float b;\n  a[get_global_id(0)] = b;\n}\n"
 	if res := corpus.FilterEx(flawed, corpus.FilterOpts{}); !res.OK {
 		t.Fatalf("probe kernel fails the base filter: %s", res.Reason)
@@ -182,14 +148,14 @@ func TestRecursiveSynthesisHonorsStaticChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted, stats, err := g.SynthesizeRecursive(3, model.SampleOpts{Seed: model.FreeSeed}, 5)
+	accepted, stats, err := g.Synthesize(3, model.SampleOpts{Seed: model.FreeSeed}, 5)
 	// The run may well exhaust its attempt budget — strict mode rejects
 	// nearly everything this degenerate model produces. That is the point;
 	// only the verdicts matter.
 	_ = err
 	for i, k := range accepted {
 		if res := corpus.FilterEx(k, corpus.FilterOpts{Static: true}); !res.OK {
-			t.Errorf("strict recursive kernel %d fails the strict filter (%s):\n%s", i, res.Reason, k)
+			t.Errorf("strict kernel %d fails the strict filter (%s):\n%s", i, res.Reason, k)
 		}
 	}
 	static := 0
@@ -201,57 +167,5 @@ func TestRecursiveSynthesisHonorsStaticChecks(t *testing.T) {
 	if static == 0 {
 		t.Errorf("no static: rejections recorded over %d attempts (reasons %v) — strict mode bypassed",
 			stats.Attempts, stats.Reasons)
-	}
-}
-
-// TestSynthesizeRecursiveDeterministicAcrossWorkers: recursive synthesis
-// shares SynthesizeWorkers' scan loop and must inherit its guarantee —
-// identical kernels and stats for every worker count.
-func TestSynthesizeRecursiveDeterministicAcrossWorkers(t *testing.T) {
-	g := build(t)
-	want, wantStats, err := g.SynthesizeRecursiveWorkers(8, model.SampleOpts{Seed: model.FreeSeed}, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, stats, err := g.SynthesizeRecursiveWorkers(8, model.SampleOpts{Seed: model.FreeSeed}, 7, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: kernels differ", workers)
-		}
-		if !reflect.DeepEqual(stats, wantStats) {
-			t.Fatalf("workers=%d: stats differ:\n%+v\nvs\n%+v", workers, stats, wantStats)
-		}
-	}
-}
-
-func TestMissingFunctionsDetection(t *testing.T) {
-	src := `__kernel void A(__global float* a) {
-  a[0] = H(a[0]) + sqrt(a[1]) + convert_float(3);
-}`
-	missing := missingFunctions(src)
-	if len(missing) != 1 || missing[0] != "H" {
-		t.Errorf("missing = %v, want [H]", missing)
-	}
-	if missingFunctions("not parseable {{{") != nil {
-		t.Error("broken source should yield no candidates")
-	}
-}
-
-func TestSampleHelperProducesValidDefinition(t *testing.T) {
-	g := build(t)
-	rng := rand.New(rand.NewSource(2))
-	helper, ok := g.sampleHelper(rng, "my_helper", 0.8)
-	if !ok {
-		t.Skip("model produced no valid helper at this seed")
-	}
-	if !strings.HasPrefix(helper, "inline float my_helper(") {
-		t.Errorf("helper prefix wrong:\n%s", helper)
-	}
-	f, err := clc.Parse(helper)
-	if err != nil || clc.Check(f) != nil {
-		t.Errorf("helper invalid: %v\n%s", err, helper)
 	}
 }

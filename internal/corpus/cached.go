@@ -128,7 +128,6 @@ func fromCachedOutcome(c cachedFileOutcome) fileOutcome {
 var fileMemo = cache.New(cache.Config[cachedFileOutcome]{
 	Name:    "file",
 	Version: fileVersion,
-	Disk:    true,
 	Size: func(c cachedFileOutcome) int {
 		n := 64
 		for _, u := range c.Units {
@@ -172,7 +171,6 @@ type filterVerdict struct {
 var filterMemo = cache.New(cache.Config[filterVerdict]{
 	Name:    "filter",
 	Version: filterVersion,
-	Disk:    true,
 })
 
 // FilterCached is FilterEx behind the "filter" memo, for callers that

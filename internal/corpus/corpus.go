@@ -338,12 +338,6 @@ func Build(files []github.ContentFile) (*Corpus, error) {
 	return BuildEx(files, BuildOpts{})
 }
 
-// BuildWorkers is Build with an explicit worker count (<= 0 means the pool
-// default).
-func BuildWorkers(files []github.ContentFile, workers int) (*Corpus, error) {
-	return BuildEx(files, BuildOpts{Workers: workers})
-}
-
 // BuildOpts configures a corpus build.
 type BuildOpts struct {
 	// Workers is the per-file fan-out width (<= 0 means the pool default).

@@ -42,7 +42,7 @@ func TestJournalMatchesStatsAcrossWorkers(t *testing.T) {
 		var c *Corpus
 		events := captureJournal(t, func() {
 			var err error
-			c, err = BuildWorkers(files, workers)
+			c, err = BuildEx(files, BuildOpts{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}

@@ -13,12 +13,12 @@ import (
 // for every worker count.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	files := github.Mine(github.MinerConfig{Seed: 23, Repos: 40, FilesPerRepo: 8})
-	want, err := BuildWorkers(files, 1)
+	want, err := BuildEx(files, BuildOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := BuildWorkers(files, workers)
+		got, err := BuildEx(files, BuildOpts{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

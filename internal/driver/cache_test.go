@@ -87,18 +87,18 @@ func TestCheckColdWarmIdentical(t *testing.T) {
 	}
 }
 
-// TestMeasureStableUnderMemoization: Measure aggregates profiles in place
-// (Add/Scale), so cached check outcomes must hand every caller a fresh
-// profile copy. Repeated measurements — first cold, then served from the
-// memo — must agree exactly; a shared profile would be scaled twice and
-// drift.
+// TestMeasureStableUnderMemoization: Measure scales a capped run's profile
+// in place (Profile.Scale), so cached check outcomes must hand every
+// caller a fresh profile copy. Repeated measurements — first cold, then
+// served from the memo — must agree exactly; a shared profile would be
+// scaled twice and drift.
 func TestMeasureStableUnderMemoization(t *testing.T) {
 	k, err := Load(zipSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := platform.SystemAMD
-	cfg := MeasureConfig{Repeats: 3, ExecCap: 128}
+	cfg := MeasureConfig{ExecCap: 128}
 	var runs []*Measurement
 	for i := 0; i < 3; i++ {
 		m, err := Measure(k, 4096, sys, 9, cfg)

@@ -2,7 +2,7 @@
 // the four-execution §5.2 check is a pure function of (kernel source,
 // global size, payload seed, step budget) on the deterministic simulator,
 // so its verdict, first-execution profile, and payload quantities can be
-// reused across repeats, experiments, and warm runs. Check itself still
+// reused across experiments and warm runs. Check itself still
 // counts verdicts and journals a StageChecked event on every call — a hit
 // skips the executions, not the observability.
 package driver
@@ -22,9 +22,10 @@ const checkVersion = "driver-check-v4"
 
 // checkEntry is the serializable mirror of a check()'s CheckResult. The
 // profile is stored by value: every conversion back hands the consumer a
-// fresh copy, because measurement mutates profiles (Add/Scale) while
-// aggregating repeats. A run failure's error is stored as its text and
-// class, so that the rebuilt error unwraps as the original did.
+// fresh copy, because measurement scales profiles in place when it
+// extrapolates a capped run to the nominal size. A run failure's error is
+// stored as its text and class, so that the rebuilt error unwraps as the
+// original did.
 type checkEntry struct {
 	Verdict       string           `json:"verdict"`
 	Err           string           `json:"err,omitempty"`
@@ -71,7 +72,6 @@ func (e *runError) Unwrap() error { return e.cause }
 var checkMemo = cache.New(cache.Config[checkEntry]{
 	Name:    "check",
 	Version: checkVersion,
-	Disk:    true,
 })
 
 func toCheckEntry(res CheckResult) checkEntry {

@@ -32,7 +32,7 @@ type Kernel struct {
 	analysisRep  *analysis.Report
 	// staticEmitOnce dedups the static_filter journal event: the forecast
 	// is size-independent, so one event per loaded kernel regardless of
-	// how many measurement repeats re-run Check.
+	// how many sizes and payload seeds re-run Check.
 	staticEmitOnce sync.Once
 	// footprintEmitOnce dedups the per-kernel footprint journal event
 	// (emitted at a fixed reference size, so once is enough).
@@ -41,7 +41,7 @@ type Kernel struct {
 
 // Analysis returns the static analyzer's report over the kernel's file,
 // computed on first use and cached (Check may consult it for every
-// measurement repeat).
+// size and payload seed the kernel is checked at).
 func (k *Kernel) Analysis() *analysis.Report {
 	k.analysisOnce.Do(func() { k.analysisRep = analysis.Analyze(k.File) })
 	return k.analysisRep

@@ -230,86 +230,3 @@ func TestMeasureRejectsUselessKernel(t *testing.T) {
 		t.Error("input-insensitive kernel measured")
 	}
 }
-
-func TestMeasureRepeatsAverage(t *testing.T) {
-	k, err := Load(zipSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := Measure(k, 256, platform.SystemNVIDIA, 5, MeasureConfig{Repeats: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m5, err := Measure(k, 256, platform.SystemNVIDIA, 5, MeasureConfig{Repeats: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Control flow in this kernel is size-dependent only, so the averaged
-	// profile must match a single run.
-	if m1.Profile.GlobalLoads != m5.Profile.GlobalLoads {
-		t.Errorf("averaged profile differs: %d vs %d", m1.Profile.GlobalLoads, m5.Profile.GlobalLoads)
-	}
-}
-
-func TestSequenceSharedBuffers(t *testing.T) {
-	scale, err := Load(`__kernel void A(__global float* a, const int n) {
-  int i = get_global_id(0);
-  if (i < n) { a[i] = a[i] * 2.0f; }
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := Load(`__kernel void A(__global float* a, const int n) {
-  int i = get_global_id(0);
-  if (i < n) { a[i] = a[i] + 1.0f; }
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := NewSequence(scale, inc)
-	res, err := seq.Run(128, platform.SystemAMD, 5, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Profiles) != 2 {
-		t.Fatalf("stages: %d", len(res.Profiles))
-	}
-	if res.Total.GlobalLoads != res.Profiles[0].GlobalLoads+res.Profiles[1].GlobalLoads {
-		t.Error("total profile not the sum of stages")
-	}
-	if res.CPUTime <= 0 || res.GPUTime <= 0 {
-		t.Errorf("times %g %g", res.CPUTime, res.GPUTime)
-	}
-}
-
-func TestSequenceAmortizesTransfer(t *testing.T) {
-	src := `__kernel void A(__global float* a, const int n) {
-  int i = get_global_id(0);
-  if (i < n) { a[i] = a[i] * 1.5f + 0.5f; }
-}`
-	k1, _ := Load(src)
-	k2, _ := Load(src)
-	k3, _ := Load(src)
-	single, err := NewSequence(k1).Run(4096, platform.SystemAMD, 2, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	triple, err := NewSequence(k1, k2, k3).Run(4096, platform.SystemAMD, 2, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three stages share one transfer round trip: the GPU cost must grow
-	// far less than 3x.
-	if triple.GPUTime >= single.GPUTime*2.5 {
-		t.Errorf("transfer not amortized: single=%g triple=%g", single.GPUTime, triple.GPUTime)
-	}
-	if triple.TransferBytes != single.TransferBytes {
-		t.Errorf("transfer bytes %d vs %d", triple.TransferBytes, single.TransferBytes)
-	}
-}
-
-func TestSequenceEmpty(t *testing.T) {
-	if _, err := (&Sequence{}).Run(64, platform.SystemAMD, 1, RunConfig{}); err == nil {
-		t.Error("empty schedule accepted")
-	}
-}

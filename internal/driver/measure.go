@@ -7,7 +7,6 @@ import (
 	"clgen/internal/features"
 	"clgen/internal/interp"
 	"clgen/internal/platform"
-	"clgen/internal/pool"
 	"clgen/internal/telemetry"
 )
 
@@ -42,11 +41,6 @@ func (m *Measurement) TimeOn(t platform.DeviceType) float64 {
 
 // MeasureConfig controls measurement.
 type MeasureConfig struct {
-	// Repeats averages runtimes over this many payload seeds (§7.2: "each
-	// experiment is repeated five times and the average execution time is
-	// recorded"). Default 1: the simulator is deterministic for a fixed
-	// payload, so repeats only smooth data-dependent control flow.
-	Repeats int
 	// ExecCap bounds the executed global size: kernels launched with a
 	// larger nominal size run at the cap and have their profile and
 	// transfer volume extrapolated linearly (exact for data-parallel
@@ -57,7 +51,9 @@ type MeasureConfig struct {
 }
 
 // Measure runs the dynamic checker and, if the kernel does useful work,
-// produces a Measurement on the given system.
+// produces a Measurement on the given system. It measures the run at
+// seed once: the paper averages five runs (§7.2), but the simulator is
+// deterministic for a fixed payload.
 func Measure(k *Kernel, globalSize int, sys *platform.System, seed int64, cfg MeasureConfig) (*Measurement, error) {
 	start := time.Now()
 	defer func() {
@@ -65,45 +61,21 @@ func Measure(k *Kernel, globalSize int, sys *platform.System, seed int64, cfg Me
 			"Wall time of one Measure call (checker + execution).", nil).
 			Observe(time.Since(start).Seconds())
 	}()
-	if cfg.Repeats <= 0 {
-		cfg.Repeats = 1
-	}
 	execSize := globalSize
 	if cfg.ExecCap > 0 && execSize > cfg.ExecCap {
 		execSize = cfg.ExecCap
 	}
-	// Each repeat seeds its own payload (seed + r*1000, as before), so the
-	// runs are independent and fan out over the worker pool; the profiles
-	// are folded in repeat order, giving the same aggregate as the serial
-	// loop.
-	results := pool.Map(0, cfg.Repeats, func(r int) CheckResult {
-		return Check(k, execSize, seed+int64(r)*1000, cfg.Run)
-	})
-	var agg *interp.Profile
-	var transfer int64
-	var wg int
-	for _, res := range results {
-		if !res.OK() {
-			return nil, res.CheckError()
-		}
-		if agg == nil {
-			agg = res.Profile
-			transfer = res.TransferBytes
-			wg = res.LocalSize
-		} else {
-			agg.Add(res.Profile)
-		}
+	res := Check(k, execSize, seed, cfg.Run)
+	if !res.OK() {
+		return nil, res.CheckError()
 	}
-	// Average the accumulated profiles.
-	if cfg.Repeats > 1 {
-		agg.Scale(1 / float64(cfg.Repeats))
-	}
+	prof, transfer := res.Profile, res.TransferBytes
 	if execSize != globalSize {
 		factor := float64(globalSize) / float64(execSize)
-		agg.Scale(factor)
+		prof.Scale(factor)
 		transfer = int64(float64(transfer) * factor)
 	}
-	return MeasureProfile(k, agg, transfer, globalSize, wg, sys)
+	return MeasureProfile(k, prof, transfer, globalSize, res.LocalSize, sys)
 }
 
 // MeasureProfile computes a Measurement from an existing execution profile

@@ -128,9 +128,6 @@ func (s Static) FeatureVec() []float64 {
 // CombinedNames are display names for the combined features (Table 2b).
 var CombinedNames = []string{"F1 transfer/(comp+mem)", "F2 coalesced/mem", "F3 (localmem/mem)*wgsize", "F4 comp/mem"}
 
-// RawNames are display names for the raw features plus branch counter.
-var RawNames = []string{"comp", "mem", "localmem", "coalesced", "transfer", "wgsize", "branches"}
-
 // ExtractFile computes static features for every kernel in a checked
 // file, in the process-global mode (heuristic, or precise under
 // -precise-features).
@@ -259,7 +256,6 @@ const Version = "features-v2|" + ir.Version + "|" + analysis.Version
 var sourceMemo = cache.New(cache.Config[[]Static]{
 	Name:    "features",
 	Version: Version,
-	Disk:    true,
 	Size:    func(s []Static) int { return 32 + 96*len(s) },
 })
 

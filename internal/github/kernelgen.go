@@ -135,7 +135,6 @@ func (st *style) comment(b *strings.Builder, text string) {
 var (
 	bufNames    = []string{"in", "input", "src", "data", "x", "a", "buf", "vec", "values", "samples", "signal"}
 	outNames    = []string{"out", "output", "dst", "result", "y", "b", "res", "sink"}
-	auxNames    = []string{"weights", "coeff", "mask", "lut", "bias", "gain"}
 	idxNames    = []string{"i", "idx", "tid", "gid", "id", "gidx"}
 	sizeNames   = []string{"n", "count", "size", "len", "num_elements", "total"}
 	scalarNames = []string{"alpha", "beta", "scale", "factor", "offset", "threshold"}

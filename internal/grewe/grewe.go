@@ -29,14 +29,6 @@ const (
 	Extended
 )
 
-// String names the feature set.
-func (fs FeatureSet) String() string {
-	if fs == Combined {
-		return "Grewe et al."
-	}
-	return "extended"
-}
-
 // Vector renders a measurement's features under the set. Exported so the
 // prediction audit trail (internal/mlobs) can journal the exact inputs a
 // prediction was made from.

@@ -29,22 +29,6 @@ type Profile struct {
 	Steps int64
 }
 
-// Add accumulates o into p.
-func (p *Profile) Add(o *Profile) {
-	p.WorkItems += o.WorkItems
-	p.IntOps += o.IntOps
-	p.FloatOps += o.FloatOps
-	p.GlobalLoads += o.GlobalLoads
-	p.GlobalStores += o.GlobalStores
-	p.LocalLoads += o.LocalLoads
-	p.LocalStores += o.LocalStores
-	p.PrivateOps += o.PrivateOps
-	p.Branches += o.Branches
-	p.Barriers += o.Barriers
-	p.Atomics += o.Atomics
-	p.Steps += o.Steps
-}
-
 // Scale multiplies every counter by f. Used to extrapolate a profile
 // measured at a reduced execution size to the nominal dataset size of a
 // data-parallel kernel (per-work-item cost constant in the subset's suite

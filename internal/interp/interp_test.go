@@ -624,12 +624,16 @@ func TestBufferEqualEpsilon(t *testing.T) {
 	}
 }
 
-func TestProfileAdd(t *testing.T) {
-	p := &Profile{IntOps: 1, FloatOps: 2, GlobalLoads: 3, Barriers: 4}
-	q := &Profile{IntOps: 10, FloatOps: 20, GlobalLoads: 30, Barriers: 40}
-	p.Add(q)
-	if p.IntOps != 11 || p.FloatOps != 22 || p.GlobalLoads != 33 || p.Barriers != 44 {
-		t.Errorf("Add: %+v", p)
+// TestProfileScale: Measure extrapolates a capped run to its nominal size
+// with Scale, which must multiply every counter, truncating toward zero.
+func TestProfileScale(t *testing.T) {
+	p := &Profile{WorkItems: 1, IntOps: 2, FloatOps: 3, GlobalLoads: 4, GlobalStores: 5, LocalLoads: 6,
+		LocalStores: 7, PrivateOps: 8, Branches: 9, Barriers: 10, Atomics: 11, Steps: 12}
+	p.Scale(2.5)
+	want := Profile{WorkItems: 2, IntOps: 5, FloatOps: 7, GlobalLoads: 10, GlobalStores: 12, LocalLoads: 15,
+		LocalStores: 17, PrivateOps: 20, Branches: 22, Barriers: 25, Atomics: 27, Steps: 30}
+	if *p != want {
+		t.Errorf("Scale(2.5) = %+v, want %+v", *p, want)
 	}
 }
 

@@ -391,9 +391,6 @@ var active atomic.Pointer[Writer]
 // temporary writer and must clear it before Close.
 func SetActive(w *Writer) { active.Store(w) }
 
-// Active returns the process-global journal, or nil.
-func Active() *Writer { return active.Load() }
-
 // Enabled reports whether a process-global journal is installed. Emission
 // sites use it to skip content hashing when no one is listening.
 func Enabled() bool { return active.Load() != nil }

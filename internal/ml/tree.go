@@ -78,9 +78,6 @@ func (t *Tree) Predict(x []float64) int {
 // Depth returns the tree height (diagnostics).
 func (t *Tree) Depth() int { return depth(t.root) }
 
-// Leaves returns the leaf count (diagnostics).
-func (t *Tree) Leaves() int { return leaves(t.root) }
-
 func depth(n *node) int {
 	if n == nil || n.leaf {
 		return 0
@@ -90,16 +87,6 @@ func depth(n *node) int {
 		return l + 1
 	}
 	return r + 1
-}
-
-func leaves(n *node) int {
-	if n == nil {
-		return 0
-	}
-	if n.leaf {
-		return 1
-	}
-	return leaves(n.left) + leaves(n.right)
 }
 
 func build(X [][]float64, y []int, idx []int, cfg TreeConfig, d int) *node {

@@ -1,8 +1,11 @@
 package model
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+
+	"clgen/internal/pool"
 )
 
 // feedAll runs src through a fresh tracker and returns the position just
@@ -96,36 +99,12 @@ func TestSampleKernelLiteralRegression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := m.SampleMany(1, SampleOpts{Seed: "__kernel void A(", MaxLen: 200}, 1, 1)[0]
+		got := m.SampleKernel(rand.New(rand.NewSource(pool.DeriveSeed(1, 0))), SampleOpts{Seed: "__kernel void A(", MaxLen: 200})
 		if !strings.HasSuffix(strings.TrimSpace(got), "}") {
 			t.Errorf("sample truncated: %q", got)
 		}
 		if strings.TrimSpace(got) != strings.TrimSpace(kernel) {
 			t.Errorf("sample stopped at the wrong depth:\n got %q\nwant %q", got, kernel)
 		}
-	}
-}
-
-// TestSampleManyDeterministicAcrossWorkers is the model half of the
-// determinism suite: per-item derived seeds make the batch byte-identical
-// for every worker count.
-func TestSampleManyDeterministicAcrossWorkers(t *testing.T) {
-	c := buildTestCorpus(t)
-	m, err := TrainNGram(c.Text, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := m.SampleMany(11, SampleOpts{Seed: FreeSeed}, 24, 1)
-	for _, workers := range []int{2, 8} {
-		got := m.SampleMany(11, SampleOpts{Seed: FreeSeed}, 24, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: kernel %d differs:\n%q\nvs\n%q", workers, i, got[i], want[i])
-			}
-		}
-	}
-	// Distinct items draw from distinct streams.
-	if want[0] == want[1] && want[1] == want[2] {
-		t.Error("per-item seeds look identical")
 	}
 }

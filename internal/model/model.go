@@ -13,7 +13,6 @@ import (
 	"clgen/internal/cache"
 	"clgen/internal/journal"
 	"clgen/internal/nn"
-	"clgen/internal/pool"
 	"clgen/internal/telemetry"
 )
 
@@ -351,28 +350,4 @@ func (m *Model) SampleKernel(rng *rand.Rand, opts SampleOpts) string {
 	reg.Counter("sampler_maxlen_hits_total",
 		"Samples truncated at MaxLen with unbalanced braces (depth-tracking rejection).").Inc()
 	return out.String()
-}
-
-// SampleMany draws count kernels (no filtering) on up to workers
-// goroutines (workers <= 0 means the pool default). Each kernel samples
-// from its own RNG derived from (seed, index), so the output is
-// byte-identical for every worker count.
-func (m *Model) SampleMany(seed int64, opts SampleOpts, count, workers int) []string {
-	out := pool.Map(workers, count, func(i int) string {
-		rng := rand.New(rand.NewSource(pool.DeriveSeed(seed, int64(i))))
-		return m.SampleKernel(rng, opts)
-	})
-	attempted := telemetry.Default().Counter("sampler_samples_attempted_total",
-		"Samples drawn from the language model.")
-	attempted.Add(int64(len(out)))
-	// Journal emission after the fan-out, in index order, so the event
-	// stream is deterministic for every worker count.
-	if journal.Enabled() {
-		for i, k := range out {
-			journal.Emit(journal.Event{
-				ID: journal.ID(k), Stage: journal.StageSampled, Item: i, Model: m.Lineage,
-			})
-		}
-	}
-	return out
 }

@@ -187,27 +187,55 @@ func min(a, b int) int {
 	return b
 }
 
+// TestModelSaveLoadRoundTrip: a checkpoint of either backend must load
+// into a model with the same vocabulary, lineage and next-character
+// distribution, so it samples exactly what the saved model samples.
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	c := buildTestCorpus(t)
-	m, err := TrainNGram(c.Text, 8)
+	ngram, err := TrainNGram(c.Text, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/model.gob"
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := LoadFile(path)
+	lstm, _, err := TrainLSTM(c.Kernels[0], 8, 2, nn.TrainConfig{Epochs: 1, SeqLen: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Vocab.Size() != m.Vocab.Size() {
-		t.Fatalf("vocab size %d vs %d", m2.Vocab.Size(), m.Vocab.Size())
-	}
-	k1 := m.SampleKernel(rand.New(rand.NewSource(4)), SampleOpts{})
-	k2 := m2.SampleKernel(rand.New(rand.NewSource(4)), SampleOpts{})
-	if k1 != k2 {
-		t.Error("loaded model samples differently")
+	for _, tc := range []struct {
+		name string
+		m    *Model
+	}{{"ngram", ngram}, {"lstm", lstm}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			path := t.TempDir() + "/model.gob"
+			if err := m.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			m2, err := LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m2.Vocab.Size() != m.Vocab.Size() || m2.Lineage != m.Lineage {
+				t.Fatalf("vocab size %d vs %d, lineage %q vs %q",
+					m2.Vocab.Size(), m.Vocab.Size(), m2.Lineage, m.Lineage)
+			}
+			s1, s2 := m.LM.NewSession(), m2.LM.NewSession()
+			for _, x := range m.Vocab.Encode("__kernel void A(") {
+				s1.Observe(x)
+				s2.Observe(x)
+			}
+			p1 := s1.Distribution(1, make([]float64, m.Vocab.Size()))
+			p2 := s2.Distribution(1, make([]float64, m.Vocab.Size()))
+			for i := range p1 {
+				if p1[i] != p2[i] {
+					t.Fatalf("next-character probability %d: %g vs %g", i, p1[i], p2[i])
+				}
+			}
+			k1 := m.SampleKernel(rand.New(rand.NewSource(4)), SampleOpts{MaxLen: 200})
+			k2 := m2.SampleKernel(rand.New(rand.NewSource(4)), SampleOpts{MaxLen: 200})
+			if k1 != k2 {
+				t.Error("loaded model samples differently")
+			}
+		})
 	}
 }
 

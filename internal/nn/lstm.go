@@ -78,16 +78,6 @@ func (m *LSTM) ZeroState() *State {
 	return s
 }
 
-// Clone deep-copies the state.
-func (s *State) Clone() *State {
-	n := &State{}
-	for l := range s.H {
-		n.H = append(n.H, append([]float64(nil), s.H[l]...))
-		n.C = append(n.C, append([]float64(nil), s.C[l]...))
-	}
-	return n
-}
-
 // stepCache holds the intermediate activations of one timestep needed for
 // backpropagation.
 type stepCache struct {

@@ -36,12 +36,6 @@ func NewMatRand(r, c int, scale float64, rng *rand.Rand) *Mat {
 	return m
 }
 
-// At returns element (i, j).
-func (m *Mat) At(i, j int) float64 { return m.W[i*m.C+j] }
-
-// Set assigns element (i, j).
-func (m *Mat) Set(i, j int, v float64) { m.W[i*m.C+j] = v }
-
 // Row returns a slice aliasing row i.
 func (m *Mat) Row(i int) []float64 { return m.W[i*m.C : (i+1)*m.C] }
 
@@ -88,20 +82,6 @@ func (m *Mat) AddOuter(a, b []float64) {
 			row[j] += ai * bj
 		}
 	}
-}
-
-// Zero clears all elements.
-func (m *Mat) Zero() {
-	for i := range m.W {
-		m.W[i] = 0
-	}
-}
-
-// Clone deep-copies the matrix.
-func (m *Mat) Clone() *Mat {
-	n := NewMat(m.R, m.C)
-	copy(n.W, m.W)
-	return n
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -134,9 +134,6 @@ func (m *NGram) NewSession() Session {
 	return &ngramSession{m: m}
 }
 
-// Contexts returns the number of stored contexts (diagnostics).
-func (m *NGram) Contexts() int { return len(m.Counts) }
-
 type ngramSession struct {
 	m   *NGram
 	ctx []byte // last Order symbols

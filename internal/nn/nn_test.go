@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -172,33 +171,6 @@ func TestLSTMNumParams(t *testing.T) {
 	}
 }
 
-func TestLSTMSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := NewLSTM(6, 8, 2, rng)
-	var buf bytes.Buffer
-	if err := SaveLSTM(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := LoadLSTM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical predictions.
-	s1, s2 := m.NewSession(), m2.NewSession()
-	p1, p2 := make([]float64, 6), make([]float64, 6)
-	for _, x := range []int{0, 3, 5, 1} {
-		s1.Observe(x)
-		s2.Observe(x)
-	}
-	s1.Distribution(1, p1)
-	s2.Distribution(1, p2)
-	for i := range p1 {
-		if math.Abs(p1[i]-p2[i]) > 1e-12 {
-			t.Fatalf("round-trip mismatch at %d: %g vs %g", i, p1[i], p2[i])
-		}
-	}
-}
-
 func TestNGramLearnsSuccessors(t *testing.T) {
 	// "abcabcabc..." with order 2 must predict deterministically.
 	corpus := make([]int, 300)
@@ -240,22 +212,6 @@ func TestNGramBackoff(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("distribution sums to %g", sum)
-	}
-}
-
-func TestNGramSaveLoad(t *testing.T) {
-	corpus := []int{0, 1, 0, 2, 0, 1}
-	m, _ := TrainNGram(corpus, 3, 2)
-	var buf bytes.Buffer
-	if err := SaveNGram(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := LoadNGram(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Order != m.Order || m2.Vocab != m.Vocab || m2.Contexts() != m.Contexts() {
-		t.Errorf("round trip: %+v vs %+v", m2, m)
 	}
 }
 

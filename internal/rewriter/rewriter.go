@@ -72,7 +72,6 @@ func NormalizeParsed(f *clc.File) string {
 var normalizeMemo = cache.New(cache.Config[string]{
 	Name:    "rewrite",
 	Version: Version,
-	Disk:    true,
 	Size:    func(s string) int { return len(s) },
 })
 

@@ -310,16 +310,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Reset drops every metric. Intended for tests.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = map[string]*Counter{}
-	r.gauges = map[string]*Gauge{}
-	r.histograms = map[string]*Histogram{}
-	r.help = map[string]string{}
-}
-
 // WriteJSON writes the snapshot as indented JSON.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

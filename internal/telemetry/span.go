@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -14,16 +13,12 @@ import (
 // Tracer records spans into a per-run stage tree and feeds their
 // durations into a registry histogram (`stage_seconds{stage="..."}`).
 //
-// Three parenting modes compose:
+// Two parenting modes compose:
 //
 //   - Explicit mode: parent.Child(name) parents the new span under parent
 //     without touching the tracer's implicit stack — the correct mode for
 //     spans opened on worker goroutines (the pipeline's parallel stages),
 //     where the implicit stack would misattribute them.
-//   - Context mode: StartSpan(ctx, name) parents the new span under the
-//     span carried by ctx, for code that already threads contexts. A
-//     ctx-parented span is explicit: it is goroutine-safe and leaves the
-//     implicit stack alone.
 //   - Implicit mode: Start(name) parents under the tracer's current open
 //     span, giving correctly nested trees on the coordinating goroutine
 //     without changing signatures.
@@ -64,7 +59,7 @@ type Span struct {
 	start    time.Time
 	dur      time.Duration
 	ended    bool
-	implicit bool // on the tracer's implicit stack (Start), vs explicit (Child/ctx)
+	implicit bool // on the tracer's implicit stack (Start), vs explicit (Child)
 	parent   *Span
 	children []*Span
 	attrs    []kv
@@ -72,22 +67,6 @@ type Span struct {
 	// enabled (nil otherwise). Written once before the span is shared, so
 	// End may read it without the tracer lock.
 	res0 *ResourceSample
-}
-
-type ctxKey struct{}
-
-// StartSpan opens a span named name, parented under the span in ctx (or
-// the tracer's current span when ctx carries none), and returns a
-// derived context carrying it. A ctx-parented span is explicit — safe to
-// open from any goroutine.
-func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	var s *Span
-	if p, ok := ctx.Value(ctxKey{}).(*Span); ok {
-		s = t.start(name, p, false)
-	} else {
-		s = t.start(name, nil, true)
-	}
-	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
 // Start opens a span under the tracer's current open span (implicit mode;
@@ -128,23 +107,8 @@ func (t *Tracer) start(name string, parent *Span, implicit bool) *Span {
 	return s
 }
 
-// StartSpan opens a span on the default tracer with context parenting.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	return defaultTracer.StartSpan(ctx, name)
-}
-
 // Start opens a span on the default tracer under its current open span.
 func Start(name string) *Span { return defaultTracer.Start(name) }
-
-// Name returns the span's stage name.
-func (s *Span) Name() string { return s.name }
-
-// Duration returns the recorded duration (zero until End).
-func (s *Span) Duration() time.Duration {
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	return s.dur
-}
 
 // SetAttr attaches a key=value annotation shown in the rendered tree and
 // the RunReport (e.g. kernels synthesized in this stage).
@@ -198,7 +162,7 @@ func (s *Span) End() {
 		s.setAttrLocked("goroutines", res1.Goroutines)
 	}
 	// Pop this span (and any unclosed descendants) off the implicit stack.
-	// Explicit spans (Child/ctx-parented) were never pushed, so ending them
+	// Explicit spans (Child) were never pushed, so ending them
 	// from a worker goroutine cannot disturb the coordinator's stack.
 	if s.implicit {
 		for c := t.cur; c != nil; c = c.parent {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -86,15 +85,15 @@ func TestSpanTreeFakeClock(t *testing.T) {
 	}
 }
 
-// TestSpanContextParenting checks the ctx-based mode nests spans across
-// explicit contexts and that End is idempotent.
+// TestSpanContextParenting checks that an explicit Child nests under its
+// parent, that End is idempotent, and that Reset clears the tree.
 func TestSpanContextParenting(t *testing.T) {
 	tr := NewTracer(nil)
 	clk := newFakeClock()
 	tr.SetClock(clk.now)
 
-	ctx, root := tr.StartSpan(context.Background(), "run")
-	_, child := tr.StartSpan(ctx, "phase")
+	root := tr.Start("run")
+	child := root.Child("phase")
 	clk.advance(time.Second)
 	child.End()
 	child.End() // idempotent

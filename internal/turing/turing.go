@@ -117,15 +117,6 @@ func tells(code string) float64 {
 	return score
 }
 
-// Verdict is one judge's call on one kernel.
-type Verdict struct {
-	SaidMachine bool
-	WasMachine  bool
-}
-
-// Correct reports whether the judge was right.
-func (v Verdict) Correct() bool { return v.SaidMachine == v.WasMachine }
-
 // judge evaluates one kernel with a personal threshold offset in z-score
 // units drawn from the judge's RNG.
 func (p *Panel) judge(code string, rng *rand.Rand) bool {
