@@ -1,9 +1,10 @@
 // Package cache is a content-addressed memoization layer for the
 // pipeline's pure stages. A Memo[V] caches the result of a deterministic
 // computation keyed by a content hash (see Key): rejection-filter
-// verdicts, rewriter normalizations, feature vectors, and modeled
-// checker outcomes are all pure functions of their inputs, so a second
-// request for the same content can skip the work entirely.
+// verdicts, rewriter normalizations, feature vectors, modeled checker
+// outcomes and suite launch profiles are all pure functions of their
+// inputs, so a second request for the same content can skip the work
+// entirely.
 //
 // Two tiers back every memo: a sharded in-memory LRU (always on) and an
 // optional on-disk store shared across processes (enabled by the

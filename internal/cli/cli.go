@@ -70,7 +70,7 @@ func Register(fs *flag.FlagSet) *Flags {
 func RegisterPipeline(fs *flag.FlagSet) *Flags {
 	f := Register(fs)
 	fs.StringVar(&f.JournalPath, "journal", "", "write a per-artifact JSONL provenance journal to this path (analyze with cltrace)")
-	fs.StringVar(&f.CacheDir, "cache-dir", "", "persist content-addressed stage caches (filter/rewrite/feature/check results) under this directory; warm runs reuse them")
+	fs.StringVar(&f.CacheDir, "cache-dir", "", "persist content-addressed stage caches (filter/rewrite/feature/check/suite-launch results) under this directory; warm runs reuse them")
 	fs.BoolVar(&f.StaticChecks, "static-checks", false, "run the CFG+dataflow static analyzer: strict rejection filtering and dynamic-checker pre-screening")
 	fs.BoolVar(&f.PreciseFeatures, "precise-features", false, "derive static code features from the CFG+dataflow analyzer (precise coalescing/memory counts) instead of AST heuristics, and journal per-kernel feature-agreement events")
 	fs.BoolVar(&f.FootprintSizing, "footprint-sizing", false, "size §5.1 payload buffers to max(Sg, proven symbolic footprint) so stride-past-gid kernels are rescued instead of crashing, and journal per-kernel footprint events")

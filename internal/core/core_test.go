@@ -8,6 +8,7 @@ import (
 	"clgen/internal/corpus"
 	"clgen/internal/github"
 	"clgen/internal/model"
+	"clgen/internal/nn"
 )
 
 func build(t *testing.T) *CLgen {
@@ -106,6 +107,7 @@ func TestLSTMBackendBuilds(t *testing.T) {
 		Backend:    BackendLSTM,
 		LSTMHidden: 32,
 		LSTMLayers: 1,
+		LSTMTrain:  nn.TrainConfig{Epochs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,9 +16,10 @@ import (
 )
 
 // checkVersion stamps cached check outcomes. The check depends on the
-// payload generator, the interpreter, and the platform-independent
-// verdict logic in this package — bump on any behavioral change.
-const checkVersion = "driver-check-v4"
+// payload generator and the platform-independent verdict logic in this
+// package — bump the prefix on any behavioral change there — and on the
+// interpreter, whose changes bump interp.Version.
+const checkVersion = "driver-check-v4|" + interp.Version
 
 // checkEntry is the serializable mirror of a check()'s CheckResult. The
 // profile is stored by value: every conversion back hands the consumer a

@@ -8,6 +8,13 @@ import (
 	"clgen/internal/clc"
 )
 
+// Version stamps cached results derived from interpreter runs
+// (internal/cache): the §5.2 check memo and the suite-launch memo embed it
+// in their cache versions. Bump it whenever execution, step accounting,
+// profile counting or the step-limit proof changes, so persistent caches
+// rerun launches instead of replaying the old interpreter's profiles.
+const Version = "interp-v1"
+
 // Profile aggregates dynamic execution statistics across a kernel run.
 // Vector operations count one event per lane, so a float4 add contributes
 // 4 to FloatOps. The platform performance models consume these counters.

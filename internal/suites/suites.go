@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"clgen/internal/cache"
 	"clgen/internal/clc"
 	"clgen/internal/driver"
 	"clgen/internal/interp"
@@ -139,14 +140,62 @@ func (b *Benchmark) Load() (*driver.Kernel, error) {
 // not depend on the dataset size).
 var ExecCap = 16384
 
+// launchEntry is one executed suite launch: its unscaled profile and the
+// bytes its buffers transfer. The profile is stored by value, so every
+// lookup hands Measure a copy to scale.
+type launchEntry struct {
+	Profile  interp.Profile `json:"profile"`
+	Transfer int64          `json:"transfer"`
+}
+
+// launchMemo runs each distinct launch once. Two datasets of a benchmark
+// that both exceed ExecCap resolve to the same launch at the same seed on
+// the deterministic interpreter; only their extrapolation differs.
+var launchMemo = cache.New(cache.Config[launchEntry]{
+	Name:    "suite-launch",
+	Version: "suite-launch-v1|" + interp.Version,
+})
+
 // Measure executes the benchmark on one dataset and models runtimes on the
 // given system. Results are deterministic in the seed.
 func (b *Benchmark) Measure(k *driver.Kernel, ds Dataset, sys *platform.System, seed int64) (*driver.Measurement, error) {
+	launch, execN, err := b.resolve(k, ds)
+	if err != nil {
+		return nil, err
+	}
+	key := cache.Key(k.Src, k.Name, fmt.Sprintf("%+v,seed=%d", launch, seed))
+	e, _, err := launchMemo.Do(key, func() (launchEntry, error) { return run(k, launch, seed) })
+	if err != nil {
+		return nil, fmt.Errorf("suites: %s (%s): %w", b.ID(), ds.Name, err)
+	}
+	prof, transfer := e.Profile, e.Transfer
+	nominalGlobal := launch.GlobalSize
+	if execN < ds.N {
+		factor := float64(ds.N) / float64(execN)
+		prof.Scale(factor)
+		transfer = int64(float64(transfer) * factor)
+		nominalGlobal = int(float64(launch.GlobalSize) * factor)
+	}
+	m, err := driver.MeasureProfile(k, &prof, transfer, nominalGlobal, launch.LocalSize, sys)
+	if err != nil {
+		return nil, err
+	}
+	m.Kernel = b.ID() + "." + ds.Name
+	return m, nil
+}
+
+// resolve plans the launch Measure executes for ds, at the dataset size
+// capped at ExecCap, and returns it with that executed size.
+func (b *Benchmark) resolve(k *driver.Kernel, ds Dataset) (Launch, int, error) {
 	execN := ds.N
 	if ExecCap > 0 && execN > ExecCap {
 		execN = ExecCap
 	}
 	launch := b.Plan(execN)
+	if launch.GlobalSize <= 0 {
+		return Launch{}, 0, fmt.Errorf("suites: %s (%s): launch has global size %d",
+			b.ID(), ds.Name, launch.GlobalSize)
+	}
 	if launch.LocalSize <= 0 {
 		launch.LocalSize = 64
 	}
@@ -157,9 +206,14 @@ func (b *Benchmark) Measure(k *driver.Kernel, ds Dataset, sys *platform.System, 
 		launch.LocalSize--
 	}
 	if len(launch.Args) != len(k.Decl.Params) {
-		return nil, fmt.Errorf("suites: %s: launch has %d args, kernel wants %d",
+		return Launch{}, 0, fmt.Errorf("suites: %s: launch has %d args, kernel wants %d",
 			b.ID(), len(launch.Args), len(k.Decl.Params))
 	}
+	return launch, execN, nil
+}
+
+// run builds the launch's arguments from the seed and executes it.
+func run(k *driver.Kernel, launch Launch, seed int64) (launchEntry, error) {
 	rng := rand.New(rand.NewSource(seed))
 	args := make([]interp.Value, len(launch.Args))
 	var transfer int64
@@ -169,19 +223,19 @@ func (b *Benchmark) Measure(k *driver.Kernel, ds Dataset, sys *platform.System, 
 		case IntScalar:
 			st, ok := prm.Type.(*clc.ScalarType)
 			if !ok {
-				return nil, fmt.Errorf("suites: %s: arg %d is not a scalar", b.ID(), i)
+				return launchEntry{}, fmt.Errorf("arg %d is not a scalar", i)
 			}
 			args[i] = interp.IntValue(st.Kind, a.Int)
 		case FloatScalar:
 			st, ok := prm.Type.(*clc.ScalarType)
 			if !ok {
-				return nil, fmt.Errorf("suites: %s: arg %d is not a scalar", b.ID(), i)
+				return launchEntry{}, fmt.Errorf("arg %d is not a scalar", i)
 			}
 			args[i] = interp.FloatValue(st.Kind, a.Float)
 		case GlobalBuf, ZeroBuf, LocalBuf:
 			pt, ok := prm.Type.(*clc.PointerType)
 			if !ok {
-				return nil, fmt.Errorf("suites: %s: arg %d is not a pointer", b.ID(), i)
+				return launchEntry{}, fmt.Errorf("arg %d is not a pointer", i)
 			}
 			kind := bufKind(pt.Elem)
 			slots := a.Slots * slotsPer(pt.Elem)
@@ -211,21 +265,9 @@ func (b *Benchmark) Measure(k *driver.Kernel, ds Dataset, sys *platform.System, 
 		LocalSize:  [3]int{launch.LocalSize, 1, 1},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("suites: %s (%s): %w", b.ID(), ds.Name, err)
+		return launchEntry{}, err
 	}
-	nominalGlobal := launch.GlobalSize
-	if execN < ds.N {
-		factor := float64(ds.N) / float64(execN)
-		prof.Scale(factor)
-		transfer = int64(float64(transfer) * factor)
-		nominalGlobal = int(float64(launch.GlobalSize) * factor)
-	}
-	m, err := driver.MeasureProfile(k, prof, transfer, nominalGlobal, launch.LocalSize, sys)
-	if err != nil {
-		return nil, err
-	}
-	m.Kernel = b.ID() + "." + ds.Name
-	return m, nil
+	return launchEntry{Profile: *prof, Transfer: transfer}, nil
 }
 
 func bufKind(t clc.Type) clc.ScalarKind {
@@ -255,13 +297,6 @@ func fill(b *interp.Buffer, rng *rand.Rand) {
 	for i := range b.I {
 		b.I[i] = int64(rng.Intn(1 << 16))
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- shared dataset helpers ---

@@ -1,9 +1,14 @@
 package suites
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
+	"clgen/internal/cache"
+	"clgen/internal/driver"
 	"clgen/internal/platform"
+	"clgen/internal/telemetry"
 )
 
 func TestInventoryMatchesTable3(t *testing.T) {
@@ -150,11 +155,123 @@ func TestMeasureDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Without the flush the second call is a memo hit, and the test would
+	// compare the stored run with itself.
+	cache.FlushMemory()
 	m2, err := b.Measure(k, ds, platform.SystemNVIDIA, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1.CPUTime != m2.CPUTime || m1.GPUTime != m2.GPUTime {
 		t.Error("measurement not deterministic")
+	}
+}
+
+// TestMeasureZeroSize: a dataset whose plan launches no work-items is an
+// error naming the benchmark and dataset, for every benchmark.
+func TestMeasureZeroSize(t *testing.T) {
+	for _, b := range All() {
+		k, err := b.Load()
+		if err != nil {
+			t.Fatalf("%s: %v", b.ID(), err)
+		}
+		m, err := b.Measure(k, Dataset{Name: "empty", N: 0}, platform.SystemAMD, 1)
+		if err == nil {
+			t.Errorf("%s: zero-size dataset measured: %+v", b.ID(), m)
+		} else if want := b.ID() + " (empty)"; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", b.ID(), err, want)
+		}
+	}
+}
+
+// TestMeasureRunsEachLaunchOnce sweeps every suite job, from a cold memo,
+// at the exec caps of TestConfig() and of the default campaign. A job
+// whose capped launch an earlier job of its benchmark already ran is a
+// suite-launch memo hit, and must equal its measurement from a cold memo.
+// A miss is that cold computation already: the run reads nothing from
+// the memo.
+func TestMeasureRunsEachLaunchOnce(t *testing.T) {
+	defer func(c int) { ExecCap = c }(ExecCap)
+	counter := func(name string) *telemetry.Counter {
+		return telemetry.Default().Counter(telemetry.Label(name, "cache", "suite-launch"), "")
+	}
+	hits, misses := counter("cache_hits_total"), counter("cache_misses_total")
+	type job struct {
+		b   *Benchmark
+		k   *driver.Kernel
+		ds  Dataset
+		m   *driver.Measurement
+		hit bool
+	}
+	for _, tc := range []struct {
+		cap          int
+		misses, hits int64
+	}{{2048, 77, 83}, {16384, 109, 51}} {
+		ExecCap = tc.cap
+		cache.FlushMemory()
+		h0, m0 := hits.Value(), misses.Value()
+		var jobs []job
+		for _, b := range All() {
+			k, err := b.Load()
+			if err != nil {
+				t.Fatalf("%s: %v", b.ID(), err)
+			}
+			for _, ds := range b.Datasets {
+				h := hits.Value()
+				m, err := b.Measure(k, ds, platform.SystemAMD, 1)
+				if err != nil {
+					t.Fatalf("%s: %v", b.ID(), err)
+				}
+				jobs = append(jobs, job{b, k, ds, m, hits.Value() > h})
+			}
+		}
+		if len(jobs) != 160 {
+			t.Fatalf("cap %d: %d jobs, want 160", tc.cap, len(jobs))
+		}
+		if dm, dh := misses.Value()-m0, hits.Value()-h0; dm != tc.misses || dh != tc.hits {
+			t.Errorf("cap %d: %d misses and %d hits, want %d and %d", tc.cap, dm, dh, tc.misses, tc.hits)
+		}
+		for _, j := range jobs {
+			if !j.hit {
+				continue
+			}
+			cache.FlushMemory()
+			cold, err := j.b.Measure(j.k, j.ds, platform.SystemAMD, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", j.b.ID(), err)
+			}
+			if !reflect.DeepEqual(j.m, cold) {
+				t.Errorf("cap %d: %s: swept measurement %+v, cold %+v", tc.cap, j.m.Kernel, j.m, cold)
+			}
+		}
+	}
+
+	// A dataset at the cap runs the launch a larger dataset ran and scaled:
+	// the hit must hand out the unscaled profile.
+	ExecCap = 2048
+	b := NPB()[0]
+	k, err := b.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.FlushMemory()
+	atCap, err := b.Measure(k, Dataset{Name: "cap", N: 2048}, platform.SystemAMD, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.FlushMemory()
+	if _, err := b.Measure(k, Dataset{Name: "big", N: 8192}, platform.SystemAMD, 1); err != nil {
+		t.Fatal(err)
+	}
+	h0 := hits.Value()
+	hit, err := b.Measure(k, Dataset{Name: "cap", N: 2048}, platform.SystemAMD, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits.Value() != h0+1 {
+		t.Fatal("dataset at the cap was not a memo hit")
+	}
+	if *hit.Profile != *atCap.Profile {
+		t.Errorf("hit after a scaled dataset: profile %+v, want %+v", *hit.Profile, *atCap.Profile)
 	}
 }
