@@ -154,11 +154,16 @@ func (w *World) measureSuites() error {
 		w.Obs[sys.Name] = map[string][]*grewe.Observation{}
 	}
 	// Flatten the (benchmark, dataset) nest into one work list so every
-	// measurement fans out over the pool; results are folded back in list
-	// order, so the observation slices match the serial nesting exactly.
+	// measurement fans out over the pool. The list runs every benchmark's
+	// first dataset, then every second one, and so on: datasets of one
+	// benchmark often share a suite launch, and a worker that took one
+	// while another ran it would wait in the memo. Results are folded back
+	// in the serial nesting's order (at), so the observation slices and the
+	// journal match it exactly.
 	type job struct {
 		b  *suites.Benchmark
 		ds suites.Dataset
+		at int // position in the serial (benchmark, dataset) nesting
 	}
 	type outcome struct {
 		suite     string
@@ -168,13 +173,22 @@ func (w *World) measureSuites() error {
 		pairs     []features.Pair // heuristic/precise vectors under -precise-features
 		err       error
 	}
-	var jobs []job
-	for _, b := range suites.All() {
-		for _, ds := range b.Datasets {
-			jobs = append(jobs, job{b: b, ds: ds})
+	benches := suites.All()
+	first := make([]int, len(benches)) // at of each benchmark's first dataset
+	total := 0
+	for i, b := range benches {
+		first[i] = total
+		total += len(b.Datasets)
+	}
+	jobs := make([]job, 0, total)
+	for round := 0; len(jobs) < total; round++ {
+		for i, b := range benches {
+			if round < len(b.Datasets) {
+				jobs = append(jobs, job{b: b, ds: b.Datasets[round], at: first[i] + round})
+			}
 		}
 	}
-	results := pool.Map(w.Cfg.Workers, len(jobs), func(i int) outcome {
+	outcomes := pool.Map(w.Cfg.Workers, len(jobs), func(i int) outcome {
 		j := jobs[i]
 		done := telemetry.BeginWorkf("world.measure_suites", "%s:%s", j.b.ID(), j.ds.Name)
 		defer done()
@@ -206,6 +220,10 @@ func (w *World) measureSuites() error {
 		mNV.Kernel = mAMD.Kernel
 		return outcome{suite: j.b.Suite, bench: j.b.ID(), id: id, mAMD: mAMD, mNV: mNV, pairs: pairs}
 	})
+	results := make([]outcome, total)
+	for i, o := range outcomes {
+		results[jobs[i].at] = o
+	}
 	seenFeat := map[string]bool{}
 	for _, o := range results {
 		if o.err != nil {

@@ -42,7 +42,7 @@ func TestSeedText(t *testing.T) {
 }
 
 // buildTestCorpus assembles a small real corpus through the full pipeline.
-func buildTestCorpus(t *testing.T) *corpus.Corpus {
+func buildTestCorpus(t testing.TB) *corpus.Corpus {
 	t.Helper()
 	files := github.Mine(github.MinerConfig{Seed: 17, Repos: 60, FilesPerRepo: 8})
 	c, err := corpus.Build(files)
@@ -50,6 +50,24 @@ func buildTestCorpus(t *testing.T) *corpus.Corpus {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// trainedModel keeps BenchmarkTrainNGram's result live.
+var trainedModel *Model
+
+// BenchmarkTrainNGram times training at the default order on the 60-repo
+// test corpus, vocabulary and lineage included.
+func BenchmarkTrainNGram(b *testing.B) {
+	text := buildTestCorpus(b).Text
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := TrainNGram(text, DefaultNGramOrder)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trainedModel = m
+	}
 }
 
 func TestNGramSamplesCompilableKernels(t *testing.T) {

@@ -77,53 +77,126 @@ type NGram struct {
 	Lineage string
 }
 
-// NewNGram creates an empty model of the given order (context length).
-func NewNGram(vocab, order int) *NGram {
+// TrainNGram builds an n-gram model of the given order (context length,
+// at least 1) from an encoded corpus. Symbols are stored as bytes, so the
+// vocabulary holds at most 256 of them.
+//
+// Every position counts its successor under each suffix context of length
+// 0..Order, so backoff always has somewhere to land. Those contexts are the
+// nodes on one path down a trie of reversed contexts: the child of the node
+// for corpus[t-d:t] by symbol corpus[t-d-1] is the context one symbol
+// longer. So each position walks down once, bumping its successor at every
+// node on the way, and each node is then written to Counts once. Successors
+// stay in first-appearance order, which Distribution's floating-point sum
+// depends on.
+func TrainNGram(corpus []int, vocab, order int) (*NGram, error) {
+	if vocab > 256 {
+		return nil, fmt.Errorf("nn: vocabulary of %d symbols too large for n-gram model (max 256)", vocab)
+	}
+	for _, x := range corpus {
+		if x < 0 || x >= vocab {
+			return nil, fmt.Errorf("nn: corpus index %d outside vocabulary %d", x, vocab)
+		}
+	}
 	if order < 1 {
 		order = 1
 	}
-	return &NGram{Order: order, Vocab: vocab, Counts: map[string][]Succ{}}
-}
-
-// TrainNGram builds an n-gram model from an encoded corpus.
-func TrainNGram(corpus []int, vocab, order int) (*NGram, error) {
-	if vocab > 65535 {
-		return nil, fmt.Errorf("nn: vocabulary too large for n-gram model")
+	// Node 0 is the root, the empty context; entry 0 of succs is unused,
+	// so index 0 means "none" in both.
+	tr := trie{nodes: make([]trieNode, 1), succs: make([]trieSucc, 1)}
+	for t, x := range corpus {
+		// A position adds at most order+1 nodes and successors; int32
+		// indices must not wrap.
+		if len(tr.succs) > math.MaxInt32-order-1 {
+			return nil, fmt.Errorf("nn: corpus of %d symbols has too many order-%d contexts", len(corpus), order)
+		}
+		n := int32(0)
+		for d := 0; ; d++ {
+			tr.bump(n, x)
+			if d == order || d == t {
+				break
+			}
+			n = tr.child(n, byte(corpus[t-d-1]))
+		}
 	}
-	m := NewNGram(vocab, order)
-	m.Add(corpus)
+	m := &NGram{Order: order, Vocab: vocab, Counts: make(map[string][]Succ, len(tr.nodes))}
+	all := make([]Succ, 0, len(tr.succs)-1)
+	// A depth-d node's key is key[order-d:]: descending prepends a symbol.
+	key := make([]byte, order)
+	var write func(n int32, d int)
+	write = func(n int32, d int) {
+		if first := tr.nodes[n].first; first != 0 { // only an empty corpus's root has none
+			lo := len(all)
+			for i := first; i != 0; i = tr.succs[i].next {
+				all = append(all, tr.succs[i].Succ)
+			}
+			m.Counts[string(key[order-d:])] = all[lo:len(all):len(all)]
+		}
+		for c := tr.nodes[n].child; c != 0; c = tr.nodes[c].sibling {
+			key[order-d-1] = tr.nodes[c].sym
+			write(c, d+1)
+		}
+	}
+	write(0, 0)
 	return m, nil
 }
 
-// Add accumulates counts from an additional encoded corpus.
-func (m *NGram) Add(corpus []int) {
-	buf := make([]byte, 0, m.Order)
-	for t, x := range corpus {
-		// Count (suffix-context, successor) pairs for every context length
-		// 0..Order so backoff always has somewhere to land.
-		lo := t - m.Order
-		if lo < 0 {
-			lo = 0
-		}
-		for s := t; s >= lo; s-- {
-			buf = buf[:0]
-			for _, c := range corpus[s:t] {
-				buf = append(buf, byte(c))
-			}
-			m.bump(string(buf), x)
-		}
-	}
+// trie holds the contexts TrainNGram counts. Node 0 is the empty context,
+// and a child extends its parent's context by one symbol on the left. It
+// holds no pointers, so the collector never scans it.
+type trie struct {
+	nodes []trieNode
+	succs []trieSucc // every node's successors
 }
 
-func (m *NGram) bump(ctx string, sym int) {
-	lst := m.Counts[ctx]
-	for i := range lst {
-		if int(lst[i].Sym) == sym {
-			lst[i].Count++
+type trieNode struct {
+	child, sibling int32 // first child and next sibling
+	first, last    int32 // the node's successors, in first-appearance order
+	sym            byte  // the symbol this node prepends to its parent's context
+}
+
+type trieSucc struct {
+	Succ
+	next int32 // the node's next successor
+}
+
+// child returns n's child by symbol s, adding it if absent. A child found
+// moves to the front of its siblings, so frequent symbols are found first.
+func (tr *trie) child(n int32, s byte) int32 {
+	prev := int32(0)
+	for c := tr.nodes[n].child; c != 0; prev, c = c, tr.nodes[c].sibling {
+		if tr.nodes[c].sym == s {
+			if prev != 0 {
+				tr.nodes[prev].sibling = tr.nodes[c].sibling
+				tr.nodes[c].sibling = tr.nodes[n].child
+				tr.nodes[n].child = c
+			}
+			return c
+		}
+	}
+	c := int32(len(tr.nodes))
+	tr.nodes = append(tr.nodes, trieNode{sibling: tr.nodes[n].child, sym: s})
+	tr.nodes[n].child = c
+	return c
+}
+
+// bump counts sym as a successor of node n.
+func (tr *trie) bump(n int32, sym int) {
+	node := &tr.nodes[n]
+	for i := node.first; i != 0; i = tr.succs[i].next {
+		if int(tr.succs[i].Sym) == sym {
+			tr.succs[i].Count++
 			return
 		}
 	}
-	m.Counts[ctx] = append(lst, Succ{Sym: uint16(sym), Count: 1})
+	i := int32(len(tr.succs))
+	tr.succs = append(tr.succs, trieSucc{Succ: Succ{Sym: uint16(sym), Count: 1}})
+	if node.first == 0 {
+		node.first = i
+	} else {
+		tr.succs[node.last].next = i
+	}
+	node.last = i
 }
 
 // VocabSize implements LanguageModel.

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -246,4 +247,146 @@ func TestTrainRejectsBadCorpus(t *testing.T) {
 	if _, err := m.Train(long, TrainConfig{SeqLen: 16}); err == nil {
 		t.Error("out-of-vocab corpus accepted")
 	}
+}
+
+func TestTrainNGramRejectsBadCorpus(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		corpus []int
+		vocab  int
+	}{
+		// Symbols are stored as bytes: 0 and 256 would share contexts.
+		{"vocabulary over 256", []int{0, 256, 0}, 257},
+		{"negative symbol", []int{0, -1, 1}, 3},
+		{"symbol at vocabulary size", []int{0, 1, 3}, 3},
+	} {
+		if _, err := TrainNGram(tc.corpus, tc.vocab, 2); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := TrainNGram([]int{0, 255, 7}, 256, 2); err != nil {
+		t.Errorf("256-symbol vocabulary rejected: %v", err)
+	}
+}
+
+// referenceCounts is the string-keyed counting TrainNGram replaced, kept
+// as its oracle: every suffix context of every position is copied into a
+// string and looked up in the map.
+func referenceCounts(corpus []int, order int) map[string][]Succ {
+	if order < 1 {
+		order = 1
+	}
+	counts := map[string][]Succ{}
+	buf := make([]byte, 0, order)
+	for t, x := range corpus {
+		lo := t - order
+		if lo < 0 {
+			lo = 0
+		}
+		for s := t; s >= lo; s-- {
+			buf = buf[:0]
+			for _, c := range corpus[s:t] {
+				buf = append(buf, byte(c))
+			}
+			ctx := string(buf)
+			lst := counts[ctx]
+			found := false
+			for i := range lst {
+				if int(lst[i].Sym) == x {
+					lst[i].Count++
+					found = true
+					break
+				}
+			}
+			if !found {
+				counts[ctx] = append(lst, Succ{Sym: uint16(x), Count: 1})
+			}
+		}
+	}
+	return counts
+}
+
+func checkAgainstReference(t *testing.T, corpus []int, vocab, order int) {
+	t.Helper()
+	m, err := TrainNGram(corpus, vocab, order)
+	if err != nil {
+		t.Fatalf("order %d, vocab %d, %d symbols: %v", order, vocab, len(corpus), err)
+	}
+	if want := referenceCounts(corpus, order); !reflect.DeepEqual(m.Counts, want) {
+		t.Fatalf("order %d, vocab %d, %d symbols: %d contexts, want %d (or successors differ)",
+			order, vocab, len(corpus), len(m.Counts), len(want))
+	}
+}
+
+// referenceKernel is a kernel-text corpus for TestTrainNGramMatchesReference:
+// real code repeats long contexts, which random corpora rarely do.
+const referenceKernel = `__kernel void A(__global float* a, __global float* b, __global float* c, const int d) {
+  int e = get_global_id(0);
+  if (e < d) {
+    c[e] = a[e] + b[e];
+  }
+}
+__kernel void B(__global float* a, __global float* b, const int c) {
+  int d = get_global_id(0);
+  float e = 0.0f;
+  for (int f = 0; f < c; f++) {
+    e += a[d * c + f] * b[f];
+  }
+  b[d] = e;
+}
+`
+
+// TestTrainNGramMatchesReference: the trie walk must count exactly what
+// the string-keyed counting did, successor order included.
+func TestTrainNGramMatchesReference(t *testing.T) {
+	orders := []int{1, 2, 3, 6, 28, 40}
+	rng := rand.New(rand.NewSource(5))
+	for _, vocab := range []int{1, 3, 93, 256} {
+		for _, n := range []int{0, 1, 2, 5, 50, 3000} {
+			corpus := make([]int, n)
+			for i := range corpus {
+				corpus[i] = rng.Intn(vocab)
+			}
+			for _, order := range orders {
+				checkAgainstReference(t, corpus, vocab, order)
+			}
+		}
+	}
+	var index [256]int
+	var kernel []int
+	vocab := 0
+	for _, b := range []byte(referenceKernel) {
+		if index[b] == 0 {
+			vocab++
+			index[b] = vocab
+		}
+		kernel = append(kernel, index[b]-1)
+	}
+	for _, order := range orders {
+		checkAgainstReference(t, kernel, vocab, order)
+	}
+}
+
+// FuzzTrainNGram holds TrainNGram to the string-keyed oracle on arbitrary
+// byte corpora; the first byte picks the order. Corpora are cut at 1,024
+// symbols: a random corpus has about order contexts per symbol, and both
+// sides store every one.
+func FuzzTrainNGram(f *testing.F) {
+	f.Add([]byte("\x03abcabcabd"))
+	f.Add([]byte("\x1c" + referenceKernel))
+	f.Add([]byte{40, 0, 255, 0, 255, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		if len(data) > 1025 {
+			data = data[:1025]
+		}
+		order := int(data[0]) % 48
+		corpus := make([]int, len(data)-1)
+		for i, b := range data[1:] {
+			corpus[i] = int(b)
+		}
+		checkAgainstReference(t, corpus, 256, order)
+	})
 }
