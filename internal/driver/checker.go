@@ -177,7 +177,9 @@ func check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 		return res
 	}
 	a2, b2 := a1.Clone(), b1.Clone()
-	a1Pre, b1Pre := a1.Clone(), b1.Clone()
+	// The no-output test compares A1's and B1's outputs with their inputs,
+	// so only the output buffers are copied before the runs.
+	a1Pre, b1Pre := cloneBuffers(a1.Outputs()), cloneBuffers(b1.Outputs())
 
 	var profA1 *interp.Profile
 	var steps int64
@@ -198,7 +200,7 @@ func check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 
 	res := CheckResult{Verdict: UsefulWork, Profile: profA1, Steps: steps}
 	switch {
-	case outputsEqual(a1, a1Pre) && outputsEqual(b1, b1Pre):
+	case buffersEqual(a1.Outputs(), a1Pre) && buffersEqual(b1.Outputs(), b1Pre):
 		// A1out != A1in and B1out != B1in, else no output for these inputs.
 		res.Verdict = NoOutput
 	case outputsEqual(a1, b1):
@@ -224,17 +226,29 @@ func runFailure(err error) CheckResult {
 	return res
 }
 
-func outputsEqual(a, b *Payload) bool {
-	ao, bo := a.Outputs(), b.Outputs()
-	if len(ao) != len(bo) {
+func outputsEqual(a, b *Payload) bool { return buffersEqual(a.Outputs(), b.Outputs()) }
+
+// buffersEqual reports whether two lists of buffers hold the same contents
+// within Epsilon.
+func buffersEqual(a, b []*interp.Buffer) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := range ao {
-		if !ao[i].Equal(bo[i], Epsilon) {
+	for i := range a {
+		if !a[i].Equal(b[i], Epsilon) {
 			return false
 		}
 	}
 	return true
+}
+
+// cloneBuffers deep-copies each buffer.
+func cloneBuffers(bufs []*interp.Buffer) []*interp.Buffer {
+	out := make([]*interp.Buffer, len(bufs))
+	for i, b := range bufs {
+		out[i] = b.Clone()
+	}
+	return out
 }
 
 // ErrRejectedByChecker wraps a non-useful verdict as an error.

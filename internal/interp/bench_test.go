@@ -173,3 +173,38 @@ func BenchmarkLockstep(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(phases), "ns/phase")
 }
+
+// vectorSrc is the synthesis campaign's kernel 37, a float4 stencil: the
+// vector shape of the campaign's useful-work kernels.
+const vectorSrc = `__kernel void A(__global float4* a, __global float4* b, const int c) {
+  int d = get_global_id(0);
+  if (d > 0 && d < c - 1) {
+    b[d] = (a[d - 1] + a[d] + a[d + 1]) / 3.0f;
+  }
+}`
+
+// BenchmarkVectorLaunch runs the float4 stencil over 4096 work-items and
+// reports the interpreter's cost per work-item.
+func BenchmarkVectorLaunch(b *testing.B) {
+	const n = 4096
+	env := benchEnv(b, vectorSrc)
+	f4 := &clc.VectorType{Elem: clc.Float, Len: 4}
+	a := NewBuffer(clc.Float, 4*n, clc.Global)
+	for i := range a.F {
+		a.F[i] = float64(i%7) - 2.5
+	}
+	args := []Value{
+		PtrValue(&Pointer{Buf: a, Elem: f4}),
+		PtrValue(&Pointer{Buf: NewBuffer(clc.Float, 4*n, clc.Global), Elem: f4}),
+		IntValue(clc.Int, n),
+	}
+	cfg := RunConfig{GlobalSize: [3]int{n, 1, 1}, LocalSize: [3]int{64, 1, 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := env.Run("A", args, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/workitem")
+}

@@ -86,9 +86,9 @@ func (cp *compiler) builtin(name string) func(*wiCtx, []Value) (Value, error) {
 				return Value{}, fmt.Errorf("interp: %s takes 1 argument", name)
 			}
 			if reinterpret {
-				return bitReinterpret(args[0], t)
+				return bitReinterpret(c.arena, args[0], t)
 			}
-			return Convert(args[0], t)
+			return convert(c.arena, args[0], t)
 		}
 	}
 	if n, ok := clc.VectorWidthOfName(name); ok {
@@ -199,7 +199,7 @@ func (c *wiCtx) vload(n int, args []Value) (Value, error) {
 	off := args[0].Int() * int64(n)
 	kind := elemKind(p.Elem)
 	src := Value{Kind: p.Buf.Kind, Width: 1}
-	ls := make([]lane, n)
+	ls := c.arena.alloc(n)
 	for l := range ls {
 		i, f, err := p.Buf.loadScalar(p.Off + off + int64(l))
 		if err != nil {
@@ -259,7 +259,7 @@ func (c *wiCtx) asyncCopy(name string, args []Value) (Value, error) {
 
 // bitReinterpret implements as_T for scalar float/int pairs bit-exactly and
 // falls back to numeric conversion elsewhere.
-func bitReinterpret(v Value, t clc.Type) (Value, error) {
+func bitReinterpret(ar *arena, v Value, t clc.Type) (Value, error) {
 	st, isScalar := t.(*clc.ScalarType)
 	if isScalar && v.Width <= 1 {
 		switch {
@@ -273,14 +273,15 @@ func bitReinterpret(v Value, t clc.Type) (Value, error) {
 			return IntValue(st.Kind, int64(math.Float64bits(v.f))), nil
 		}
 	}
-	return Convert(v, t)
+	return convert(ar, v, t)
 }
 
 // mathFn implements one math-family builtin over evaluated arguments.
 type mathFn func(c *wiCtx, args []Value) (Value, error)
 
-// arity wraps f with a check of the argument count.
-func arity(n int, f func(args []Value) (Value, error)) mathFn {
+// arity wraps f with a check of the argument count; f builds vectors from
+// the work-item's arena.
+func arity(n int, f func(ar *arena, args []Value) (Value, error)) mathFn {
 	return func(c *wiCtx, args []Value) (Value, error) {
 		if len(args) != n {
 			if n == 1 {
@@ -288,21 +289,21 @@ func arity(n int, f func(args []Value) (Value, error)) mathFn {
 			}
 			return Value{}, fmt.Errorf("want %d arguments", n)
 		}
-		return f(args)
+		return f(c.arena, args)
 	}
 }
 
 // laneUnary lifts a float function lane-wise.
 func laneUnary(f func(float64) float64) mathFn {
-	return arity(1, func(args []Value) (Value, error) { return mapLanes1(args[0], f), nil })
+	return arity(1, func(ar *arena, args []Value) (Value, error) { return mapLanes1(ar, args[0], f), nil })
 }
 
 func laneBinary(f func(a, b float64) float64) mathFn {
-	return arity(2, func(args []Value) (Value, error) { return mapLanes2(args[0], args[1], f), nil })
+	return arity(2, func(ar *arena, args []Value) (Value, error) { return mapLanes2(ar, args[0], args[1], f), nil })
 }
 
 func laneTernary(f func(a, b, x float64) float64) mathFn {
-	return arity(3, func(args []Value) (Value, error) { return mapLanes3(args[0], args[1], args[2], f), nil })
+	return arity(3, func(ar *arena, args []Value) (Value, error) { return mapLanes3(ar, args[0], args[1], args[2], f), nil })
 }
 
 // floatLane is a float result lane, rounded to single precision for float.
@@ -313,24 +314,24 @@ func floatLane(kind clc.ScalarKind, r float64) lane {
 	return lane{int64(clampToInt64(r)), r}
 }
 
-func mapLanes1(v Value, f func(float64) float64) Value {
+func mapLanes1(ar *arena, v Value, f func(float64) float64) Value {
 	kind := floatKindFor(v.Kind)
-	return makeValue(kind, max(v.Width, 1), func(l int) lane { return floatLane(kind, f(v.Lane(l).Float())) })
+	return makeValue(ar, kind, max(v.Width, 1), func(l int) lane { return floatLane(kind, f(v.Lane(l).Float())) })
 }
 
-func mapLanes2(a, b Value, f func(x, y float64) float64) Value {
+func mapLanes2(ar *arena, a, b Value, f func(x, y float64) float64) Value {
 	kind, w := promote(a, b)
 	kind = floatKindFor(kind)
-	av, bv := widen(a, kind, w), widen(b, kind, w)
-	return makeValue(kind, w, func(l int) lane { return floatLane(kind, f(av.lane(l).f, bv.lane(l).f)) })
+	av, bv := widen(ar, a, kind, w), widen(ar, b, kind, w)
+	return makeValue(ar, kind, w, func(l int) lane { return floatLane(kind, f(av.lane(l).f, bv.lane(l).f)) })
 }
 
-func mapLanes3(a, b, x Value, f func(p, q, r float64) float64) Value {
+func mapLanes3(ar *arena, a, b, x Value, f func(p, q, r float64) float64) Value {
 	kind, w := promote(a, b)
 	kind, w = promote(x, Value{Kind: kind, Width: w})
 	kind = floatKindFor(kind)
-	av, bv, xv := widen(a, kind, w), widen(b, kind, w), widen(x, kind, w)
-	return makeValue(kind, w, func(l int) lane {
+	av, bv, xv := widen(ar, a, kind, w), widen(ar, b, kind, w), widen(ar, x, kind, w)
+	return makeValue(ar, kind, w, func(l int) lane {
 		return floatLane(kind, f(av.lane(l).f, bv.lane(l).f, xv.lane(l).f))
 	})
 }
@@ -357,40 +358,40 @@ func boolLane(b bool) lane {
 }
 
 func wrapIntBinary(f func(a, b int64) int64) mathFn {
-	return arity(2, func(args []Value) (Value, error) {
+	return arity(2, func(ar *arena, args []Value) (Value, error) {
 		kind, w := promote(args[0], args[1])
-		av, bv := widen(args[0], kind, w), widen(args[1], kind, w)
-		return makeValue(kind, w, func(l int) lane { return intLane(kind, f(av.lane(l).i, bv.lane(l).i)) }), nil
+		av, bv := widen(ar, args[0], kind, w), widen(ar, args[1], kind, w)
+		return makeValue(ar, kind, w, func(l int) lane { return intLane(kind, f(av.lane(l).i, bv.lane(l).i)) }), nil
 	})
 }
 
 func wrapIntUnary(f func(a int64) int64) mathFn {
-	return arity(1, func(args []Value) (Value, error) {
+	return arity(1, func(ar *arena, args []Value) (Value, error) {
 		v := args[0]
-		return makeValue(v.Kind, max(v.Width, 1), func(l int) lane { return intLane(v.Kind, f(v.lane(l).i)) }), nil
+		return makeValue(ar, v.Kind, max(v.Width, 1), func(l int) lane { return intLane(v.Kind, f(v.lane(l).i)) }), nil
 	})
 }
 
 func boolLaneUnary(f func(float64) bool) mathFn {
-	return arity(1, func(args []Value) (Value, error) {
+	return arity(1, func(ar *arena, args []Value) (Value, error) {
 		v := args[0]
-		return makeValue(clc.Int, max(v.Width, 1), func(l int) lane { return boolLane(f(v.Lane(l).Float())) }), nil
+		return makeValue(ar, clc.Int, max(v.Width, 1), func(l int) lane { return boolLane(f(v.Lane(l).Float())) }), nil
 	})
 }
 
 func cmp2(f func(a, b float64) bool) mathFn {
-	return arity(2, func(args []Value) (Value, error) {
+	return arity(2, func(ar *arena, args []Value) (Value, error) {
 		kind, w := promote(args[0], args[1])
-		av, bv := widen(args[0], kind, w), widen(args[1], kind, w)
-		return makeValue(clc.Int, w, func(l int) lane { return boolLane(f(av.Lane(l).Float(), bv.Lane(l).Float())) }), nil
+		av, bv := widen(ar, args[0], kind, w), widen(ar, args[1], kind, w)
+		return makeValue(ar, clc.Int, w, func(l int) lane { return boolLane(f(av.Lane(l).Float(), bv.Lane(l).Float())) }), nil
 	})
 }
 
 // minMax is OpenCL min/max over promoted operands, integer-aware.
-func minMax(isMax bool, a, b Value) Value {
+func minMax(ar *arena, isMax bool, a, b Value) Value {
 	kind, w := promote(a, b)
-	av, bv := widen(a, kind, w), widen(b, kind, w)
-	return makeValue(kind, w, func(l int) lane {
+	av, bv := widen(ar, a, kind, w), widen(ar, b, kind, w)
+	return makeValue(ar, kind, w, func(l int) lane {
 		x, y := av.lane(l), bv.lane(l)
 		var takeB bool
 		if kind.IsFloat() {
@@ -416,7 +417,7 @@ func ptrOutBinary(f func(x float64) (ret, out float64)) mathFn {
 		}
 		v, p := args[0], args[1].Ptr
 		w, kind := max(v.Width, 1), floatKindFor(v.Kind)
-		ls := make([]lane, w)
+		ls := c.arena.alloc(w)
 		for l := range ls {
 			r, o := f(v.Lane(l).Float())
 			ls[l] = lane{int64(clampToInt64(r)), r}
@@ -566,17 +567,17 @@ func init() {
 	}
 
 	// Integer-aware min/max/clamp/abs.
-	mathBuiltins["min"] = arity(2, func(a []Value) (Value, error) { return minMax(false, a[0], a[1]), nil })
-	mathBuiltins["max"] = arity(2, func(a []Value) (Value, error) { return minMax(true, a[0], a[1]), nil })
-	mathBuiltins["clamp"] = arity(3, func(a []Value) (Value, error) {
-		return minMax(false, minMax(true, a[0], a[1]), a[2]), nil
+	mathBuiltins["min"] = arity(2, func(ar *arena, a []Value) (Value, error) { return minMax(ar, false, a[0], a[1]), nil })
+	mathBuiltins["max"] = arity(2, func(ar *arena, a []Value) (Value, error) { return minMax(ar, true, a[0], a[1]), nil })
+	mathBuiltins["clamp"] = arity(3, func(ar *arena, a []Value) (Value, error) {
+		return minMax(ar, false, minMax(ar, true, a[0], a[1]), a[2]), nil
 	})
-	mathBuiltins["abs"] = arity(1, func(a []Value) (Value, error) {
+	mathBuiltins["abs"] = arity(1, func(ar *arena, a []Value) (Value, error) {
 		v := a[0]
 		if v.Kind.IsFloat() {
-			return mapLanes1(v, math.Abs), nil
+			return mapLanes1(ar, v, math.Abs), nil
 		}
-		return makeValue(v.Kind, max(v.Width, 1), func(l int) lane {
+		return makeValue(ar, v.Kind, max(v.Width, 1), func(l int) lane {
 			x := v.lane(l).i
 			if x < 0 {
 				x = -x
@@ -613,18 +614,18 @@ func init() {
 			if err != nil {
 				return Value{}, err
 			}
-			return binaryOp(clc.ADD, m, args[2])
+			return binaryOp(c.arena, clc.ADD, m, args[2])
 		}
 	}
 	mathBuiltins["mad24"] = madOf(mathBuiltins["mul24"])
 	mathBuiltins["mad_hi"] = madOf(mathBuiltins["mul_hi"])
-	mathBuiltins["mad_sat"] = madOf(func(c *wiCtx, a []Value) (Value, error) { return binaryOp(clc.MUL, a[0], a[1]) })
+	mathBuiltins["mad_sat"] = madOf(func(c *wiCtx, a []Value) (Value, error) { return binaryOp(c.arena, clc.MUL, a[0], a[1]) })
 	mathBuiltins["popcount"] = wrapIntUnary(func(a int64) int64 { return int64(bits.OnesCount64(uint64(a))) })
 	mathBuiltins["clz"] = wrapIntUnary(func(a int64) int64 { return int64(bits.LeadingZeros32(uint32(a))) })
 	mathBuiltins["ctz"] = wrapIntUnary(func(a int64) int64 { return int64(bits.TrailingZeros32(uint32(a))) })
 
 	// Geometric.
-	mathBuiltins["dot"] = arity(2, func(args []Value) (Value, error) {
+	mathBuiltins["dot"] = arity(2, func(_ *arena, args []Value) (Value, error) {
 		a, b := args[0], args[1]
 		var s float64
 		for l := 0; l < max(a.Width, 1); l++ {
@@ -640,31 +641,31 @@ func init() {
 		}
 		return FloatValue(floatKindFor(v.Kind), math.Sqrt(s))
 	}
-	mathBuiltins["length"] = arity(1, func(a []Value) (Value, error) { return length(a[0]), nil })
+	mathBuiltins["length"] = arity(1, func(_ *arena, a []Value) (Value, error) { return length(a[0]), nil })
 	mathBuiltins["fast_length"] = mathBuiltins["length"]
-	mathBuiltins["distance"] = arity(2, func(a []Value) (Value, error) {
-		d, err := binaryOp(clc.SUB, a[0], a[1])
+	mathBuiltins["distance"] = arity(2, func(ar *arena, a []Value) (Value, error) {
+		d, err := binaryOp(ar, clc.SUB, a[0], a[1])
 		if err != nil {
 			return Value{}, err
 		}
 		return length(d), nil
 	})
 	mathBuiltins["fast_distance"] = mathBuiltins["distance"]
-	mathBuiltins["normalize"] = arity(1, func(a []Value) (Value, error) {
+	mathBuiltins["normalize"] = arity(1, func(ar *arena, a []Value) (Value, error) {
 		l := length(a[0])
 		if l.Float() == 0 {
 			return a[0], nil
 		}
-		return binaryOp(clc.DIV, a[0], l)
+		return binaryOp(ar, clc.DIV, a[0], l)
 	})
 	mathBuiltins["fast_normalize"] = mathBuiltins["normalize"]
-	mathBuiltins["cross"] = arity(2, func(args []Value) (Value, error) {
+	mathBuiltins["cross"] = arity(2, func(ar *arena, args []Value) (Value, error) {
 		a, b := args[0], args[1]
 		wa, wb := max(a.Width, 1), max(b.Width, 1)
 		ax, ay, az := a.Lane(0).Float(), a.Lane(1%wa).Float(), a.Lane(2%wa).Float()
 		bx, by, bz := b.Lane(0).Float(), b.Lane(1%wb).Float(), b.Lane(2%wb).Float()
 		// Only the float views of the three result lanes are set.
-		ls := make([]lane, max(a.Width, 3))
+		ls := ar.alloc(max(a.Width, 3))
 		ls[0].f, ls[1].f, ls[2].f = ay*bz-az*by, az*bx-ax*bz, ax*by-ay*bx
 		return vector(floatKindFor(a.Kind), ls), nil
 	})
@@ -701,35 +702,35 @@ func init() {
 	}
 	mathBuiltins["any"] = anyAll(true)
 	mathBuiltins["all"] = anyAll(false)
-	mathBuiltins["select"] = arity(3, func(args []Value) (Value, error) {
+	mathBuiltins["select"] = arity(3, func(ar *arena, args []Value) (Value, error) {
 		a, b, sel := args[0], args[1], args[2]
 		kind, w := promote(a, b)
-		av, bv, sv := widen(a, kind, w), widen(b, kind, w), widen(sel, sel.Kind, w)
-		return makeValue(kind, w, func(l int) lane {
+		av, bv, sv := widen(ar, a, kind, w), widen(ar, b, kind, w), widen(ar, sel, sel.Kind, w)
+		return makeValue(ar, kind, w, func(l int) lane {
 			if sv.Lane(l).Bool() {
 				return bv.lane(l)
 			}
 			return av.lane(l)
 		}), nil
 	})
-	mathBuiltins["bitselect"] = arity(3, func(args []Value) (Value, error) {
+	mathBuiltins["bitselect"] = arity(3, func(ar *arena, args []Value) (Value, error) {
 		kind, w := promote(args[0], args[1])
-		av, bv, mv := widen(args[0], kind, w), widen(args[1], kind, w), widen(args[2], kind, w)
-		return makeValue(kind, w, func(l int) lane {
+		av, bv, mv := widen(ar, args[0], kind, w), widen(ar, args[1], kind, w), widen(ar, args[2], kind, w)
+		return makeValue(ar, kind, w, func(l int) lane {
 			i := (av.lane(l).i &^ mv.lane(l).i) | (bv.lane(l).i & mv.lane(l).i)
 			return lane{i, float64(i)}
 		}), nil
 	})
-	mathBuiltins["shuffle"] = arity(2, func(args []Value) (Value, error) {
+	mathBuiltins["shuffle"] = arity(2, func(ar *arena, args []Value) (Value, error) {
 		src, mask := args[0], args[1]
-		return makeValue(src.Kind, max(mask.Width, 1), func(l int) lane {
+		return makeValue(ar, src.Kind, max(mask.Width, 1), func(l int) lane {
 			return src.lane(max(int(mask.lane(l).i)%max(src.Width, 1), 0))
 		}), nil
 	})
-	mathBuiltins["shuffle2"] = arity(3, func(args []Value) (Value, error) {
+	mathBuiltins["shuffle2"] = arity(3, func(ar *arena, args []Value) (Value, error) {
 		a, b, mask := args[0], args[1], args[2]
 		wa := max(a.Width, 1)
-		return makeValue(a.Kind, max(mask.Width, 1), func(l int) lane {
+		return makeValue(ar, a.Kind, max(mask.Width, 1), func(l int) lane {
 			idx := max(int(mask.lane(l).i)%(wa*2), 0)
 			if idx < wa {
 				return a.lane(idx)

@@ -253,7 +253,7 @@ func evalConstExpr(e clc.Expr, env *Env) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return unaryOp(x.Op, v)
+		return unaryOp(nil, x.Op, v)
 	case *clc.BinaryExpr:
 		a, err := evalConstExpr(x.X, env)
 		if err != nil {
@@ -263,7 +263,7 @@ func evalConstExpr(e clc.Expr, env *Env) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return binaryOp(x.Op, a, b)
+		return binaryOp(nil, x.Op, a, b)
 	case *clc.CastExpr:
 		v, err := evalConstExpr(x.X, env)
 		if err != nil {

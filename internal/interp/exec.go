@@ -56,38 +56,38 @@ type slot struct {
 	boxed bool
 }
 
-// load reads the variable's value. Reads of a boxed variable by name do
-// not count as memory operations.
-func (s *slot) load() (Value, error) {
+// load reads the variable's value, a boxed vector's lanes from ar. Reads
+// of a boxed variable by name do not count as memory operations.
+func (s *slot) load(ar *arena) (Value, error) {
 	if s.boxed {
-		return load(s.buf, 0, s.ptr.Elem)
+		return load(ar, s.buf, 0, s.ptr.Elem)
 	}
 	return s.val, nil
 }
 
 // read evaluates the variable by name: an array decays to a pointer to
 // its first element.
-func (s *slot) read() (Value, error) {
+func (s *slot) read(ar *arena) (Value, error) {
 	if s.buf == nil {
 		return s.val, nil
 	}
 	if s.boxed {
-		return s.load()
+		return s.load(ar)
 	}
 	return Value{Ptr: s.ptr}, nil
 }
 
 // store writes an already-converted value into the variable.
-func (s *slot) store(v Value) error {
+func (s *slot) store(ar *arena, v Value) error {
 	if s.boxed {
-		return store(s.buf, 0, v, s.ptr.Elem)
+		return store(ar, s.buf, 0, v, s.ptr.Elem)
 	}
 	s.val = v
 	return nil
 }
 
 // wiCtx is the execution context of a work-item. Sequential launches
-// reuse one context, and its frames, for every work-item.
+// reuse one context, its frames and its lane arena, for every work-item.
 type wiCtx struct {
 	// ids answers the work-item queries, indexed like queries: the
 	// global, local and group ids, then the global size, local size and
@@ -109,6 +109,9 @@ type wiCtx struct {
 	vals   []Value  // evaluated call arguments
 	retVal Value
 	depth  int
+	// arena holds the lanes of the vectors the work-item builds; nil on
+	// the lockstep paths, whose work-items build them on the heap.
+	arena *arena
 }
 
 const maxCallDepth = 64
@@ -168,21 +171,24 @@ type function struct {
 	plainFn   *function
 }
 
-// call runs f with the given arguments in a frame of its own.
+// call runs the user function f with the given arguments in a frame of
+// its own.
 func (c *wiCtx) call(f *function, args []Value) (Value, error) {
 	if !f.admits(args) {
 		f = f.plain()
 	}
-	ct, err := c.enter(f, args)
+	ct, err := c.enter(f, args, nil)
 	if err != nil || ct != ctrlReturn {
 		return Value{}, err
 	}
 	return c.retVal, nil
 }
 
-// enter runs f's body in a fresh frame binding args or, for a resuming
-// work-item, in the frame its kernel parked in.
-func (c *wiCtx) enter(f *function, args []Value) (ctrl, error) {
+// enter runs f's body in the frame at the next call depth: a copy of
+// image when it is non-nil (a launch's kernel), else a cleared frame
+// binding args, or, for a resuming work-item, the frame its kernel parked
+// in.
+func (c *wiCtx) enter(f *function, args []Value, image []slot) (ctrl, error) {
 	if c.depth >= maxCallDepth {
 		return ctrlNone, fmt.Errorf("interp: call depth limit in %q", f.decl.Name)
 	}
@@ -193,7 +199,12 @@ func (c *wiCtx) enter(f *function, args []Value) (ctrl, error) {
 	saved := c.frame
 	c.frame = c.frames[c.depth]
 	var err error
-	if !c.resuming {
+	switch {
+	case c.resuming:
+	case image != nil:
+		copy(c.frameOf(len(image)), image)
+		c.retVal = Value{}
+	default:
 		err = c.bindArgs(f, args)
 	}
 	ct := ctrlNone
@@ -205,33 +216,44 @@ func (c *wiCtx) enter(f *function, args []Value) (ctrl, error) {
 	return ct, err
 }
 
+// frameOf makes the frame at the current depth n slots long, keeping its
+// storage and contents where it is long enough.
+func (c *wiCtx) frameOf(n int) []slot {
+	fr := c.frame
+	if cap(fr) < n {
+		fr = make([]slot, n)
+	} else {
+		fr = fr[:n]
+	}
+	c.frames[c.depth], c.frame = fr, fr
+	return fr
+}
+
 // bindArgs gives f a cleared frame at the current depth holding the
 // arguments, converted to their parameters' types.
 func (c *wiCtx) bindArgs(f *function, args []Value) error {
-	fr := c.frame
-	if cap(fr) < f.nslots {
-		fr = make([]slot, f.nslots)
-	} else {
-		fr = fr[:f.nslots]
-		clear(fr)
-	}
-	c.frames[c.depth], c.frame = fr, fr
-	fd := f.decl
+	clear(c.frameOf(f.nslots))
+	c.retVal = Value{}
+	return bindParams(c.arena, f.decl, args, c.frame)
+}
+
+// bindParams stores args in the first slots of fr, each converted to its
+// parameter's type with lanes from ar.
+func bindParams(ar *arena, fd *clc.FuncDecl, args []Value, fr []slot) error {
 	if len(args) != len(fd.Params) {
 		return fmt.Errorf("interp: %q called with %d args, want %d", fd.Name, len(args), len(fd.Params))
 	}
 	for i, p := range fd.Params {
 		v := args[i]
 		if !v.IsPointer() {
-			conv, err := Convert(v, p.Type)
+			conv, err := convert(ar, v, p.Type)
 			if err != nil {
 				return fmt.Errorf("interp: argument %d of %q: %w", i, fd.Name, err)
 			}
 			v = conv
 		}
-		c.frame[i] = slot{val: v}
+		fr[i] = slot{val: v}
 	}
-	c.retVal = Value{}
 	return nil
 }
 
@@ -786,7 +808,7 @@ func (cp *compiler) decl(d *clc.VarDecl) func(*wiCtx) error {
 					return err
 				}
 				if v = iv; !iv.IsPointer() {
-					if v, err = Convert(iv, t); err != nil {
+					if v, err = convert(c.arena, iv, t); err != nil {
 						return fmt.Errorf("interp: initializing %q: %w", d.Name, err)
 					}
 				}
@@ -882,14 +904,14 @@ func (c *wiCtx) readLoc(l *loc) (Value, error) {
 	var base Value
 	var err error
 	if l.slot != nil {
-		base, err = l.slot.load()
-	} else if base, err = load(l.buf, l.off, l.typ); err == nil {
+		base, err = l.slot.load(c.arena)
+	} else if base, err = load(c.arena, l.buf, l.off, l.typ); err == nil {
 		c.countMem(l.buf.Space, widthOfType(l.typ), false)
 	}
 	if err != nil || l.lanes == nil {
 		return base, err
 	}
-	return extractLanes(base, l.lanes), nil
+	return extractLanes(c.arena, base, l.lanes), nil
 }
 
 func (c *wiCtx) writeLoc(l *loc, v Value) error {
@@ -898,32 +920,32 @@ func (c *wiCtx) writeLoc(l *loc, v Value) error {
 		var base Value
 		var err error
 		if l.slot != nil {
-			base, err = l.slot.load()
+			base, err = l.slot.load(c.arena)
 		} else {
-			base, err = load(l.buf, l.off, l.typ)
+			base, err = load(c.arena, l.buf, l.off, l.typ)
 		}
 		if err != nil {
 			return err
 		}
-		merged := insertLanes(base, l.lanes, v)
+		merged := insertLanes(c.arena, base, l.lanes, v)
 		if l.slot != nil {
-			return l.slot.store(merged)
+			return l.slot.store(c.arena, merged)
 		}
 		c.countMem(l.buf.Space, len(l.lanes), true)
-		return store(l.buf, l.off, merged, l.typ)
+		return store(c.arena, l.buf, l.off, merged, l.typ)
 	}
 	if l.slot == nil {
 		c.countMem(l.buf.Space, widthOfType(l.typ), true)
-		return store(l.buf, l.off, v, l.typ)
+		return store(c.arena, l.buf, l.off, v, l.typ)
 	}
 	if v.IsPointer() {
-		return l.slot.store(v)
+		return l.slot.store(c.arena, v)
 	}
-	conv, err := Convert(v, l.typ)
+	conv, err := convert(c.arena, v, l.typ)
 	if err != nil {
 		return err
 	}
-	return l.slot.store(conv)
+	return l.slot.store(c.arena, conv)
 }
 
 func widthOfType(t clc.Type) int {
@@ -933,11 +955,12 @@ func widthOfType(t clc.Type) int {
 	return 1
 }
 
-func extractLanes(v Value, lanes []int) Value {
+// extractLanes is the swizzle of v to lanes, its lanes from ar.
+func extractLanes(ar *arena, v Value, lanes []int) Value {
 	if len(lanes) == 1 {
 		return v.Lane(lanes[0])
 	}
-	ls := make([]lane, len(lanes))
+	ls := ar.alloc(len(lanes))
 	for i, l := range lanes {
 		ls[i] = v.lane(l)
 	}
@@ -946,8 +969,8 @@ func extractLanes(v Value, lanes []int) Value {
 
 // insertLanes returns base with the given lanes replaced by v's (or by v
 // itself when it is a scalar), converted to base's kind. base's lane array
-// is copied, never written.
-func insertLanes(base Value, lanes []int, v Value) Value {
+// is copied into lanes from ar, never written.
+func insertLanes(ar *arena, base Value, lanes []int, v Value) Value {
 	at := func(i int) lane {
 		if v.Width <= 1 {
 			return convertLane(v.lane(0), v, base.Kind)
@@ -963,7 +986,7 @@ func insertLanes(base Value, lanes []int, v Value) Value {
 		}
 		return base
 	}
-	ls := make([]lane, base.Width)
+	ls := ar.alloc(base.Width)
 	for l := range ls {
 		ls[l] = base.lane(l)
 	}
@@ -1217,7 +1240,7 @@ func (cp *compiler) ident(x *clc.Ident) evalFn {
 			if err := c.step(); err != nil {
 				return Value{}, err
 			}
-			return c.frame[r.idx].read()
+			return c.frame[r.idx].read(c.arena)
 		}
 	}
 	// Not a variable on every path: file scope, predeclared, or unknown.
@@ -1250,7 +1273,7 @@ func (cp *compiler) ident(x *clc.Ident) evalFn {
 			return Value{}, err
 		}
 		if s := r.slot(c); s != nil {
-			return s.read()
+			return s.read(c.arena)
 		}
 		return v, err
 	}
@@ -1276,7 +1299,7 @@ func (cp *compiler) index(x *clc.IndexExpr) evalFn {
 				// Inner dimension: result is a decayed pointer.
 				return PtrValue(&Pointer{Buf: p.Buf, Off: off, Elem: arr.Elem}), nil
 			}
-			v, err := load(p.Buf, off, p.Elem)
+			v, err := load(c.arena, p.Buf, off, p.Elem)
 			if err != nil {
 				return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 			}
@@ -1311,7 +1334,7 @@ func (cp *compiler) initList(x *clc.InitList) evalFn {
 		case len(lanes) == 0:
 			return VecValue(clc.Float, nil), nil
 		}
-		return VecValue(lanes[0].Kind, lanes), nil
+		return vecValue(c.arena, lanes[0].Kind, lanes), nil
 	}
 }
 
@@ -1329,7 +1352,7 @@ func (cp *compiler) binary(x *clc.BinaryExpr) evalFn {
 		if err != nil {
 			return Value{}, err
 		}
-		out, err := binaryOp(op, av, bv)
+		out, err := binaryOp(c.arena, op, av, bv)
 		if err != nil {
 			return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 		}
@@ -1368,7 +1391,7 @@ func (cp *compiler) assign(x *clc.AssignExpr) evalFn {
 			if !known {
 				return Value{}, fmt.Errorf("interp: unsupported compound assignment %s", x.Op)
 			}
-			if v, err = binaryOp(op, old, v); err != nil {
+			if v, err = binaryOp(c.arena, op, old, v); err != nil {
 				return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 			}
 			c.countArith(old.Kind, old.Width)
@@ -1397,7 +1420,7 @@ func (cp *compiler) incDec(target clc.Expr, tok clc.TokenKind, postfix bool) eva
 		if err != nil {
 			return Value{}, err
 		}
-		nv, err := binaryOp(op, old, one)
+		nv, err := binaryOp(c.arena, op, old, one)
 		if err != nil {
 			return Value{}, err
 		}
@@ -1424,7 +1447,7 @@ func (cp *compiler) unary(x *clc.UnaryExpr) evalFn {
 			if !v.IsPointer() {
 				return Value{}, fmt.Errorf("interp: dereferencing non-pointer")
 			}
-			out, err := load(v.Ptr.Buf, v.Ptr.Off, v.Ptr.Elem)
+			out, err := load(c.arena, v.Ptr.Buf, v.Ptr.Off, v.Ptr.Elem)
 			if err != nil {
 				return Value{}, err
 			}
@@ -1442,7 +1465,7 @@ func (cp *compiler) unary(x *clc.UnaryExpr) evalFn {
 		if err != nil {
 			return Value{}, err
 		}
-		out, err := unaryOp(op, v)
+		out, err := unaryOp(c.arena, op, v)
 		if err != nil {
 			return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 		}
@@ -1538,7 +1561,7 @@ func (cp *compiler) member(x *clc.MemberExpr) evalFn {
 			return Value{}, err
 		}
 		if b.IsPointer() && x.Arrow {
-			v, err := load(b.Ptr.Buf, b.Ptr.Off, b.Ptr.Elem)
+			v, err := load(c.arena, b.Ptr.Buf, b.Ptr.Off, b.Ptr.Elem)
 			if err != nil {
 				return Value{}, err
 			}
@@ -1555,7 +1578,7 @@ func (cp *compiler) member(x *clc.MemberExpr) evalFn {
 		if err != nil {
 			return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 		}
-		return extractLanes(b, ls), nil
+		return extractLanes(c.arena, b, ls), nil
 	}
 }
 
@@ -1568,7 +1591,7 @@ func (cp *compiler) cast(x *clc.CastExpr) evalFn {
 			if err != nil {
 				return Value{}, err
 			}
-			out, err := Convert(v, to)
+			out, err := convert(c.arena, v, to)
 			if err != nil {
 				return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 			}
@@ -1599,11 +1622,11 @@ func (cp *compiler) cast(x *clc.CastExpr) evalFn {
 		}
 		lanes := c.vals[base:]
 		if len(lanes) == 1 {
-			return Splat(lanes[0], vt.Elem, vt.Len), nil
+			return splat(c.arena, lanes[0], vt.Elem, vt.Len), nil
 		}
 		if len(lanes) != vt.Len {
 			return Value{}, fmt.Errorf("interp: vector literal arity %d for %s", len(lanes), vt)
 		}
-		return VecValue(vt.Elem, lanes), nil
+		return vecValue(c.arena, vt.Elem, lanes), nil
 	}
 }

@@ -24,3 +24,6 @@ func NewGoroutineEnv(f *clc.File) (*Env, error) { return newEnv(f, false) }
 // Parks reports whether the work-items of kernel name park at barriers by
 // returning.
 func (env *Env) Parks(name string) bool { return env.funcs[name].parks != nil }
+
+// ArenaLanes is the capacity of a work-item's lane arena.
+const ArenaLanes = arenaLanes

@@ -47,7 +47,7 @@ func FuzzRun(f *testing.F) {
 	for _, b := range suites.All() {
 		f.Add(b.Src, uint8(argsDeclared))
 	}
-	for _, path := range []string{"interp_test.go", "park_test.go", "bound_test.go"} {
+	for _, path := range []string{"interp_test.go", "park_test.go", "bound_test.go", "arena_test.go"} {
 		for _, src := range fixtureKernels(f, path) {
 			for v := range uint8(argVariants) {
 				f.Add(src, v)

@@ -11,8 +11,8 @@ import (
 // arithmetic conversions: operands are promoted to a common type, scalars
 // splat across vector widths, and relational results are integer (0 / -1
 // per lane for vectors, 0 / 1 for scalars — we use 1; only truthiness is
-// observable in the subset).
-func binaryOp(op clc.TokenKind, a, b Value) (Value, error) {
+// observable in the subset). A vector result's lanes come from ar.
+func binaryOp(ar *arena, op clc.TokenKind, a, b Value) (Value, error) {
 	// Pointer arithmetic.
 	if a.Ptr != nil || b.Ptr != nil {
 		return pointerOp(op, a, b)
@@ -21,10 +21,10 @@ func binaryOp(op clc.TokenKind, a, b Value) (Value, error) {
 	if width == 1 {
 		return scalarOp(op, kind, widenLane(a, kind), widenLane(b, kind))
 	}
-	av, bv := widen(a, kind, width), widen(b, kind, width)
+	av, bv := widen(ar, a, kind, width), widen(ar, b, kind, width)
 	switch op {
 	case clc.EQ, clc.NEQ, clc.LT, clc.GT, clc.LEQ, clc.GEQ:
-		return makeValue(clc.Int, width, func(l int) lane {
+		return makeValue(ar, clc.Int, width, func(l int) lane {
 			return boolLane(compareLanes(op, kind, av.lane(l), bv.lane(l)))
 		}), nil
 	case clc.LAND:
@@ -34,7 +34,7 @@ func binaryOp(op clc.TokenKind, a, b Value) (Value, error) {
 	case clc.COMMA:
 		return bv, nil
 	}
-	ls := make([]lane, width)
+	ls := ar.alloc(width)
 	for l := range ls {
 		r, err := arith(op, kind, av.lane(l), bv.lane(l))
 		if err != nil {
@@ -121,14 +121,16 @@ func rankOf(k clc.ScalarKind) int {
 	return int(k) - 1
 }
 
-func widen(v Value, kind clc.ScalarKind, width int) Value {
+// widen converts v to kind and width, splatting a scalar; new lanes come
+// from ar.
+func widen(ar *arena, v Value, kind clc.ScalarKind, width int) Value {
 	if v.Width == width && v.Kind == kind {
 		return v
 	}
 	if v.Width <= 1 {
-		return Splat(v, kind, width)
+		return splat(ar, v, kind, width)
 	}
-	return makeValue(kind, width, func(l int) lane { return convertLane(v.lane(l), v, kind) })
+	return makeValue(ar, kind, width, func(l int) lane { return convertLane(v.lane(l), v, kind) })
 }
 
 // widenLane is widen to a scalar of kind, as a lane.
@@ -273,13 +275,13 @@ func pointerOp(op clc.TokenKind, a, b Value) (Value, error) {
 	return Value{}, fmt.Errorf("invalid pointer operation %s", op)
 }
 
-// unaryOp applies a prefix unary operator.
-func unaryOp(op clc.TokenKind, v Value) (Value, error) {
+// unaryOp applies a prefix unary operator, a vector result's lanes from ar.
+func unaryOp(ar *arena, op clc.TokenKind, v Value) (Value, error) {
 	switch op {
 	case clc.ADD:
 		return v, nil
 	case clc.SUB:
-		return makeValue(v.Kind, max(v.Width, 1), func(l int) lane {
+		return makeValue(ar, v.Kind, max(v.Width, 1), func(l int) lane {
 			x := v.lane(l)
 			if v.Kind.IsFloat() {
 				return lane{int64(clampToInt64(-x.f)), -x.f}
@@ -293,7 +295,7 @@ func unaryOp(op clc.TokenKind, v Value) (Value, error) {
 		if v.Kind.IsFloat() {
 			return Value{}, fmt.Errorf("operator ~ on float operand")
 		}
-		return makeValue(v.Kind, max(v.Width, 1), func(l int) lane {
+		return makeValue(ar, v.Kind, max(v.Width, 1), func(l int) lane {
 			i := truncInt(v.Kind, ^v.lane(l).i)
 			return lane{i, float64(i)}
 		}), nil

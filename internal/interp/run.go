@@ -18,6 +18,11 @@ import (
 // sequentially; kernels whose call graph can reach barrier() run in
 // deterministic lockstep phases instead, each work-item in local-id order
 // up to its next barrier, so barrier semantics hold without data races.
+//
+// Arguments are bound once per launch. The entry guards choose the
+// kernel's typed or plain body, and each argument is converted to its
+// parameter's type into a frame image. Every work-item starts on a copy
+// of the image, and each group first refreshes its __local pointer slots.
 func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) {
 	fd, err := env.Kernel(name)
 	if err != nil {
@@ -46,14 +51,19 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 		}
 	}
 
+	fn := env.funcs[name]
+	if !fn.admits(args) {
+		fn = fn.plain()
+	}
 	l := &launch{
-		kernel: env.funcs[name],
-		park:   env.funcs[name].parks != nil,
+		fn:     fn,
+		park:   fn.parks != nil,
 		prof:   &Profile{},
 		budget: cfg.MaxSteps,
-		args:   append([]Value(nil), args...),
+		image:  make([]slot, fn.nslots),
 		locals: make([]*Pointer, len(env.locals)),
 	}
+	l.bindErr = bindParams(nil, fd, args, l.image)
 	for d := 0; d < 3; d++ {
 		l.gsize[d] = int64(cfg.GlobalSize[d])
 		l.lsize[d] = int64(cfg.LocalSize[d])
@@ -67,7 +77,7 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 				for _, i := range localArgs {
 					t := args[i].Ptr
 					buf := NewBuffer(t.Buf.Kind, t.Buf.Len(), clc.Local)
-					l.args[i] = PtrValue(&Pointer{Buf: buf, Elem: t.Elem})
+					l.image[i] = slot{val: PtrValue(&Pointer{Buf: buf, Elem: t.Elem})}
 				}
 				clear(l.locals)
 				grp := [3]int64{gx, gy, gz}
@@ -89,16 +99,31 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 
 // launch is the state of one NDRange launch shared by its work-items.
 type launch struct {
-	kernel             *function
-	park               bool // its work-items park at barriers by returning
-	prof               *Profile
-	budget             int64
-	args               []Value    // the current group's arguments
+	fn     *function // the kernel body its arguments' guards chose
+	park   bool      // its work-items park at barriers by returning
+	prof   *Profile
+	budget int64
+	// image is the frame every work-item's kernel starts on: the current
+	// group's arguments bound, every other slot zero. bindErr is the
+	// binding's failure, which each work-item raises on entry instead.
+	image              []slot
+	bindErr            error
 	locals             []*Pointer // the current group's __local arrays
 	gsize, lsize, ngrp [3]int64
 	seq                *wiCtx      // the sequential path's one context
 	items              []*wiHandle // the lockstep path's work-items
 	cancel             bool        // a lockstep work-item of the group failed
+}
+
+// enter runs the kernel as work-item c: on a copy of the frame image or,
+// resuming at a barrier, in the frame it parked in. The work-item's lane
+// arena starts empty.
+func (l *launch) enter(c *wiCtx) (ctrl, error) {
+	if l.bindErr != nil {
+		return ctrlNone, l.bindErr
+	}
+	c.arena.reset()
+	return c.enter(l.fn, nil, l.image)
 }
 
 // bind points c at work-item lid of group grp.
@@ -123,7 +148,7 @@ func (l *launch) localIter(fn func(lid [3]int64)) {
 
 func (l *launch) runGroupSequential(grp [3]int64) error {
 	if l.seq == nil {
-		l.seq = &wiCtx{}
+		l.seq = &wiCtx{arena: new(arena)}
 	}
 	c := l.seq
 	c.budget = l.budget
@@ -134,7 +159,7 @@ func (l *launch) runGroupSequential(grp [3]int64) error {
 		}
 		l.bind(c, grp, lid)
 		l.prof.WorkItems++
-		_, err = c.call(l.kernel, l.args)
+		_, err = l.enter(c)
 	})
 	l.budget = c.budget
 	return err
@@ -153,9 +178,9 @@ type wiReport struct {
 }
 
 type wiHandle struct {
-	c    wiCtx
-	fn   *function // the body a parking item's first phase chose, or nil
-	done bool
+	c       wiCtx
+	entered bool // a parking item ran its first phase of the group
+	done    bool
 	// resume and report hand a work-item goroutine off; nil when it parks.
 	resume chan struct{}
 	report chan wiReport
@@ -182,7 +207,7 @@ func (l *launch) newWorkItem() *wiHandle {
 		for range h.resume {
 			var err error
 			if !l.cancel {
-				_, err = h.c.call(l.kernel, l.args)
+				_, err = l.enter(&h.c)
 			}
 			h.report <- wiReport{err: err}
 		}
@@ -208,15 +233,9 @@ func (l *launch) phase(h *wiHandle) (barrier bool, err error) {
 		r := <-h.report
 		barrier, err = r.barrier, r.err
 	} else if !l.cancel {
-		if h.fn == nil {
-			if h.fn = l.kernel; !h.fn.admits(l.args) {
-				h.fn = h.fn.plain()
-			}
-		} else {
-			h.c.resuming = true
-		}
+		h.c.resuming, h.entered = h.entered, true
 		var ct ctrl
-		ct, err = h.c.enter(h.fn, l.args)
+		ct, err = l.enter(&h.c)
 		barrier = ct == ctrlBarrier
 	}
 	l.budget = h.c.budget
@@ -232,7 +251,7 @@ func (l *launch) runGroupLockstep(grp [3]int64) error {
 		}
 		h := l.items[n]
 		n++
-		h.fn, h.done = nil, false
+		h.entered, h.done = false, false
 		l.bind(&h.c, grp, lid)
 		l.prof.WorkItems++
 	})

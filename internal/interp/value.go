@@ -20,9 +20,11 @@ const MaxLanes = 16
 // Value is a runtime value: a scalar, a vector of up to 16 lanes, or a
 // pointer. Every lane has an integer and a floating-point view; integer
 // kinds keep exact 64-bit payloads in the first, float kinds use the
-// second. Lane 0 is held inline, so a scalar is six machine words that
-// travel in registers. A vector's lanes live in an out-of-line array that
-// is never written after the Value is built, so copies may share it.
+// second. Lane 0 is held inline, so a scalar is six machine words (48
+// bytes) that travel in registers. A vector's lanes live in an
+// out-of-line array, from the running work-item's lane arena or the heap,
+// that is never written while a Value holding it can still be read, so
+// copies may share it.
 type Value struct {
 	Kind  clc.ScalarKind
 	Width int // 1 for scalars, 2/3/4/8/16 for vectors, 0 for pointers
@@ -43,6 +45,42 @@ func scalar(kind clc.ScalarKind, i int64, f float64) Value {
 	return Value{Kind: kind, Width: 1, i: i, f: f}
 }
 
+// arenaLanes is the capacity of a work-item's lane arena.
+const arenaLanes = 1024
+
+// arena hands out the lane arrays of one work-item's vectors from a fixed
+// block, so that building a vector allocates nothing. The sequential path
+// resets its context's arena at each work-item's entry, when no Value the
+// previous work-item built can be read any more: the kernel's frame is
+// replaced by a copy of the launch's frame image, a deeper frame is
+// cleared before a call uses it, the argument stack is empty and buffers
+// hold scalars. So no lane array is written while a Value holding it can
+// still be read. A nil arena (the lockstep paths') or a full one takes
+// lanes from the heap.
+type arena struct {
+	used  int
+	lanes [arenaLanes]lane
+}
+
+// reset takes back every lane handed out, zeroed, so that alloc's lanes
+// read as zero as make's do.
+func (ar *arena) reset() {
+	if ar != nil {
+		clear(ar.lanes[:ar.used])
+		ar.used = 0
+	}
+}
+
+// alloc returns w zeroed lanes.
+func (ar *arena) alloc(w int) []lane {
+	if ar != nil && ar.used+w <= arenaLanes {
+		ls := ar.lanes[ar.used : ar.used+w : ar.used+w]
+		ar.used += w
+		return ls
+	}
+	return make([]lane, w)
+}
+
 // vector builds a value of width len(ls) from freshly made lanes, which
 // the caller must not write afterwards.
 func vector(kind clc.ScalarKind, ls []lane) Value {
@@ -56,8 +94,9 @@ func vector(kind clc.ScalarKind, ls []lane) Value {
 	return v
 }
 
-// makeValue builds a value of kind and width w lane by lane.
-func makeValue(kind clc.ScalarKind, w int, at func(l int) lane) Value {
+// makeValue builds a value of kind and width w lane by lane, its lanes
+// from ar.
+func makeValue(ar *arena, kind clc.ScalarKind, w int, at func(l int) lane) Value {
 	if w < 1 {
 		return Value{Kind: kind, Width: w}
 	}
@@ -65,7 +104,7 @@ func makeValue(kind clc.ScalarKind, w int, at func(l int) lane) Value {
 		l := at(0)
 		return scalar(kind, l.i, l.f)
 	}
-	ls := make([]lane, w)
+	ls := ar.alloc(w)
 	for l := range ls {
 		ls[l] = at(l)
 	}
@@ -248,8 +287,11 @@ func FloatValue(kind clc.ScalarKind, v float64) Value {
 func PtrValue(p *Pointer) Value { return Value{Ptr: p} }
 
 // VecValue builds a vector value of the given element kind from lanes.
-func VecValue(kind clc.ScalarKind, lanes []Value) Value {
-	ls := make([]lane, len(lanes))
+func VecValue(kind clc.ScalarKind, lanes []Value) Value { return vecValue(nil, kind, lanes) }
+
+// vecValue is VecValue with its lanes from ar.
+func vecValue(ar *arena, kind clc.ScalarKind, lanes []Value) Value {
+	ls := ar.alloc(len(lanes))
 	for i, l := range lanes {
 		ls[i] = convertLane(l.lane(0), l, kind)
 	}
@@ -257,9 +299,12 @@ func VecValue(kind clc.ScalarKind, lanes []Value) Value {
 }
 
 // Splat replicates a scalar across w lanes.
-func Splat(s Value, kind clc.ScalarKind, w int) Value {
+func Splat(s Value, kind clc.ScalarKind, w int) Value { return splat(nil, s, kind, w) }
+
+// splat is Splat with its lanes from ar.
+func splat(ar *arena, s Value, kind clc.ScalarKind, w int) Value {
 	c := convertLane(s.lane(0), s, kind)
-	return makeValue(kind, w, func(int) lane { return c })
+	return makeValue(ar, kind, w, func(int) lane { return c })
 }
 
 // IsPointer reports whether v is a pointer value.
@@ -392,19 +437,22 @@ func ConvertScalar(v Value, kind clc.ScalarKind) Value {
 // Convert converts v to an arbitrary scalar or vector type, applying
 // OpenCL's widening (splat) rule for scalar-to-vector conversions and
 // lane-wise conversion for vector-to-vector of equal width.
-func Convert(v Value, t clc.Type) (Value, error) {
+func Convert(v Value, t clc.Type) (Value, error) { return convert(nil, v, t) }
+
+// convert is Convert with the result's lanes from ar.
+func convert(ar *arena, v Value, t clc.Type) (Value, error) {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
 		// A vector narrowed to a scalar keeps lane 0 (used by casts only).
 		return ConvertScalar(v, tt.Kind), nil
 	case *clc.VectorType:
 		if v.Width <= 1 {
-			return Splat(v, tt.Elem, tt.Len), nil
+			return splat(ar, v, tt.Elem, tt.Len), nil
 		}
 		if v.Width != tt.Len {
 			return Value{}, fmt.Errorf("cannot convert %d-wide vector to %s", v.Width, t)
 		}
-		return makeValue(tt.Elem, tt.Len, func(l int) lane { return convertLane(v.lane(l), v, tt.Elem) }), nil
+		return makeValue(ar, tt.Elem, tt.Len, func(l int) lane { return convertLane(v.lane(l), v, tt.Elem) }), nil
 	case *clc.PointerType:
 		if v.Ptr != nil {
 			// Pointer cast: reinterpret the pointee type.
@@ -446,8 +494,8 @@ func scalarSlots(t clc.Type) int64 {
 	return 1
 }
 
-// load reads a value of type t at slot off of b.
-func load(b *Buffer, off int64, t clc.Type) (Value, error) {
+// load reads a value of type t at slot off of b, a vector's lanes from ar.
+func load(ar *arena, b *Buffer, off int64, t clc.Type) (Value, error) {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
 		i, f, err := b.loadScalar(off)
@@ -459,7 +507,7 @@ func load(b *Buffer, off int64, t clc.Type) (Value, error) {
 		}
 		return IntValue(tt.Kind, i), nil
 	case *clc.VectorType:
-		ls := make([]lane, tt.Len)
+		ls := ar.alloc(tt.Len)
 		src := Value{Kind: b.Kind, Width: 1}
 		for l := range ls {
 			i, f, err := b.loadScalar(off + int64(l))
@@ -473,15 +521,16 @@ func load(b *Buffer, off int64, t clc.Type) (Value, error) {
 	return Value{}, fmt.Errorf("cannot load %s from memory", t)
 }
 
-// store writes v (of type t) at slot off of b.
-func store(b *Buffer, off int64, v Value, t clc.Type) error {
+// store writes v (of type t) at slot off of b, converting a vector
+// through lanes from ar.
+func store(ar *arena, b *Buffer, off int64, v Value, t clc.Type) error {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
 		c := ConvertScalar(v, tt.Kind)
 		l := convertLane(lane{c.i, c.f}, c, b.Kind)
 		return b.storeScalar(off, l.i, l.f)
 	case *clc.VectorType:
-		cv, err := Convert(v, tt)
+		cv, err := convert(ar, v, tt)
 		if err != nil {
 			return err
 		}

@@ -129,7 +129,7 @@ func TestBufferOOB(t *testing.T) {
 
 func TestBinaryOpPromotion(t *testing.T) {
 	// int + float -> float
-	v, err := binaryOp(clc.ADD, IntValue(clc.Int, 3), FloatValue(clc.Float, 0.5))
+	v, err := binaryOp(nil, clc.ADD, IntValue(clc.Int, 3), FloatValue(clc.Float, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBinaryOpPromotion(t *testing.T) {
 	}
 	// scalar op vector -> vector
 	vec := Splat(FloatValue(clc.Float, 2), clc.Float, 4)
-	v, err = binaryOp(clc.MUL, FloatValue(clc.Float, 3), vec)
+	v, err = binaryOp(nil, clc.MUL, FloatValue(clc.Float, 3), vec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +151,14 @@ func TestUnsignedSemantics(t *testing.T) {
 	// uint division and comparison use unsigned interpretation.
 	a := IntValue(clc.UInt, -1) // 4294967295
 	b := IntValue(clc.UInt, 2)
-	div, err := binaryOp(clc.DIV, a, b)
+	div, err := binaryOp(nil, clc.DIV, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if div.Int() != 2147483647 {
 		t.Errorf("uint div = %d", div.Int())
 	}
-	cmp, err := binaryOp(clc.GT, a, b)
+	cmp, err := binaryOp(nil, clc.GT, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +166,14 @@ func TestUnsignedSemantics(t *testing.T) {
 		t.Error("4294967295u > 2u should hold")
 	}
 	// Signed: -1 > 2 is false.
-	scmp, _ := binaryOp(clc.GT, IntValue(clc.Int, -1), IntValue(clc.Int, 2))
+	scmp, _ := binaryOp(nil, clc.GT, IntValue(clc.Int, -1), IntValue(clc.Int, 2))
 	if scmp.Bool() {
 		t.Error("-1 > 2 should not hold")
 	}
 }
 
 func TestShiftMasking(t *testing.T) {
-	v, err := binaryOp(clc.SHL, IntValue(clc.Int, 1), IntValue(clc.Int, 65))
+	v, err := binaryOp(nil, clc.SHL, IntValue(clc.Int, 1), IntValue(clc.Int, 65))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +185,14 @@ func TestShiftMasking(t *testing.T) {
 func TestPointerArithmetic(t *testing.T) {
 	buf := NewBuffer(clc.Float, 8, clc.Global)
 	p := PtrValue(&Pointer{Buf: buf, Elem: clc.TypeFloat})
-	q, err := binaryOp(clc.ADD, p, IntValue(clc.Int, 3))
+	q, err := binaryOp(nil, clc.ADD, p, IntValue(clc.Int, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.Ptr.Off != 3 {
 		t.Errorf("p+3 off = %d", q.Ptr.Off)
 	}
-	diff, err := binaryOp(clc.SUB, q, p)
+	diff, err := binaryOp(nil, clc.SUB, q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestPointerArithmetic(t *testing.T) {
 	// Vector-element pointers scale by lane count.
 	v4 := &clc.VectorType{Elem: clc.Float, Len: 4}
 	pv := PtrValue(&Pointer{Buf: buf, Elem: v4})
-	qv, err := binaryOp(clc.ADD, pv, IntValue(clc.Int, 1))
+	qv, err := binaryOp(nil, clc.ADD, pv, IntValue(clc.Int, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,18 +213,18 @@ func TestPointerArithmetic(t *testing.T) {
 
 func TestDivByZeroDeterministic(t *testing.T) {
 	err := quick.Check(func(a int32) bool {
-		v, err := binaryOp(clc.DIV, IntValue(clc.Int, int64(a)), IntValue(clc.Int, 0))
+		v, err := binaryOp(nil, clc.DIV, IntValue(clc.Int, int64(a)), IntValue(clc.Int, 0))
 		if err != nil || v.Int() != 0 {
 			return false
 		}
-		r, err := binaryOp(clc.REM, IntValue(clc.Int, int64(a)), IntValue(clc.Int, 0))
+		r, err := binaryOp(nil, clc.REM, IntValue(clc.Int, int64(a)), IntValue(clc.Int, 0))
 		return err == nil && r.Int() == 0
 	}, nil)
 	if err != nil {
 		t.Error(err)
 	}
 	// Float division by zero follows IEEE.
-	v, err := binaryOp(clc.DIV, FloatValue(clc.Float, 1), FloatValue(clc.Float, 0))
+	v, err := binaryOp(nil, clc.DIV, FloatValue(clc.Float, 1), FloatValue(clc.Float, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,16 +234,16 @@ func TestDivByZeroDeterministic(t *testing.T) {
 }
 
 func TestUnaryOps(t *testing.T) {
-	if v, _ := unaryOp(clc.SUB, FloatValue(clc.Float, 2.5)); v.Float() != -2.5 {
+	if v, _ := unaryOp(nil, clc.SUB, FloatValue(clc.Float, 2.5)); v.Float() != -2.5 {
 		t.Errorf("-2.5 = %v", v)
 	}
-	if v, _ := unaryOp(clc.NOT, IntValue(clc.Int, 0)); !v.Bool() {
+	if v, _ := unaryOp(nil, clc.NOT, IntValue(clc.Int, 0)); !v.Bool() {
 		t.Error("!0 should be true")
 	}
-	if v, _ := unaryOp(clc.BNOT, IntValue(clc.Int, 0)); v.Int() != -1 {
+	if v, _ := unaryOp(nil, clc.BNOT, IntValue(clc.Int, 0)); v.Int() != -1 {
 		t.Errorf("~0 = %d", v.Int())
 	}
-	if _, err := unaryOp(clc.BNOT, FloatValue(clc.Float, 1)); err == nil {
+	if _, err := unaryOp(nil, clc.BNOT, FloatValue(clc.Float, 1)); err == nil {
 		t.Error("~float accepted")
 	}
 }

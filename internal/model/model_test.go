@@ -1,7 +1,10 @@
 package model
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -254,6 +257,75 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 				t.Error("loaded model samples differently")
 			}
 		})
+	}
+}
+
+// TestNGramSaveIsReproducible: two checkpoints of one n-gram model are the
+// same bytes, so a checkpoint can be compared, hashed or cached by them.
+func TestNGramSaveIsReproducible(t *testing.T) {
+	m, err := TrainNGram(buildTestCorpus(t).Text, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, second bytes.Buffer
+	if err := m.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("two saves of one model differ (%d and %d bytes)", first.Len(), second.Len())
+	}
+}
+
+// legacyModelFile is the checkpoint layout before n-gram contexts were
+// written sorted: the model's counts map as gob encodes it.
+type legacyModelFile struct {
+	Chars   []byte
+	NGram   *nn.NGram
+	LSTM    *nn.LSTM
+	Lineage string
+}
+
+// TestNGramLoadsLegacyCheckpoint: a checkpoint in the layout that kept the
+// counts map loads into a model that samples what the saved model samples,
+// and a reader of only that layout finds no payload in a checkpoint Save
+// writes now, so it cannot load it as an empty model.
+func TestNGramLoadsLegacyCheckpoint(t *testing.T) {
+	m, err := TrainNGram(buildTestCorpus(t).Text, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var current bytes.Buffer
+	if err := m.Save(&current); err != nil {
+		t.Fatal(err)
+	}
+	var old legacyModelFile
+	if err := gob.NewDecoder(&current).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if old.NGram != nil || old.LSTM != nil {
+		t.Error("a checkpoint Save writes fills the layout that kept the counts map")
+	}
+	var buf bytes.Buffer
+	legacy := legacyModelFile{Chars: m.Vocab.Chars, NGram: m.LM.(*nn.NGram), Lineage: m.Lineage}
+	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.LM, m.LM) || loaded.Lineage != m.Lineage {
+		t.Fatal("legacy checkpoint loaded into a different model")
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		opts := SampleOpts{MaxLen: 300}
+		if got, want := loaded.SampleKernel(rand.New(rand.NewSource(seed)), opts),
+			m.SampleKernel(rand.New(rand.NewSource(seed)), opts); got != want {
+			t.Errorf("seed %d: loaded model sampled %q, want %q", seed, got, want)
+		}
 	}
 }
 
