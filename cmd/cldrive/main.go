@@ -7,22 +7,28 @@
 //
 //	cldrive [-size N] [-seed S] [file.cl]   (reads stdin without a file)
 //
+// Exit 2 means the dynamic checker rejected the kernel. A -size below 1
+// is a usage error: cldrive exits 1 before it loads the kernel.
+//
 // cldrive takes the observability flags every binary takes (-v, -quiet,
 // -log-json, -metrics-addr, -report, -perf, -stall-timeout, -stall-dump,
 // -perf-history) and the pipeline flags it shares with clgen and clexp
 // (-journal, -cache-dir, -static-checks, -precise-features,
 // -footprint-sizing, -workers); internal/cli applies them. Under
-// -static-checks, kernels the static analyzer rejects skip the four
-// dynamic checker executions.
+// -static-checks, cldrive prints and journals the static analyzer's §5.2
+// forecast, then executes the checker exactly as it does without the
+// flag: verdicts come from execution only.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"clgen/internal/cli"
+	"clgen/internal/corpus"
 	"clgen/internal/driver"
 	"clgen/internal/journal"
 	"clgen/internal/platform"
@@ -38,6 +44,9 @@ func main() {
 	)
 	tf := cli.RegisterPipeline(flag.CommandLine)
 	flag.Parse()
+	if *size <= 0 {
+		fatal(fmt.Errorf("-size must be positive, got %d", *size))
+	}
 	rt, err := tf.Start("cldrive")
 	if err != nil {
 		fatal(err)
@@ -92,16 +101,11 @@ func drive(rt *cli.Runtime, size int, seed int64, cap int, static bool, args []s
 	fmt.Printf("static features: comp=%d mem=%d localmem=%d coalesced=%d branches=%d\n",
 		k.Static.Comp, k.Static.Mem, k.Static.LocalMem, k.Static.Coalesced, k.Static.Branches)
 
-	mode := driver.StaticOff
 	if static {
-		mode = driver.StaticPreScreen
+		forecast(k)
 	}
-	res := driver.Check(k, min(size, nonZero(cap, size)), seed, driver.RunConfig{Static: mode})
-	if res.Static {
-		fmt.Printf("dynamic checker: %s (static pre-screen, not executed)\n", res.Verdict)
-	} else {
-		fmt.Printf("dynamic checker: %s\n", res.Verdict)
-	}
+	res := driver.Check(k, min(size, nonZero(cap, size)), seed, driver.RunConfig{})
+	fmt.Printf("dynamic checker: %s\n", res.Verdict)
 	if !res.OK() {
 		if res.Err != nil {
 			fmt.Printf("  cause: %v\n", res.Err)
@@ -151,6 +155,22 @@ func drive(rt *cli.Runtime, size int, seed int64, cap int, static bool, args []s
 			m.Vector.Transfer, m.Vector.WgSize)
 	}
 	return nil
+}
+
+// forecast prints the static analyzer's §5.2 forecast for k and journals
+// it as a static_filter event under the kernel's ID, so cltrace funnel
+// joins it with the checked event of the execution that follows.
+func forecast(k *driver.Kernel) {
+	rep := k.Analysis()
+	ev := journal.Event{ID: journal.ID(k.Src), Stage: journal.StageStaticFilter,
+		Predicted: rep.PredictedVerdict(k.Name)}
+	line := cmp.Or(ev.Predicted, "pass")
+	if d := rep.PrimaryError(); d != nil {
+		ev.Reason = string(corpus.StaticReason(d.Lint))
+		line += " (" + ev.Reason + ")"
+	}
+	journal.Emit(ev)
+	fmt.Printf("static forecast: %s\n", line)
 }
 
 func nonZero(v, def int) int {

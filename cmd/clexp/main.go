@@ -8,6 +8,10 @@
 //	clexp -run fig9 -kernels 2000
 //	clexp -scale test -run all     (fast, reduced sizes)
 //
+// -seed sets the campaign seed at either scale; without it a full
+// campaign runs seed 1 and a test-scale one seed 7. A -run name that is
+// not an experiment (see -help) is a usage error: exit 1 before any work.
+//
 // clexp takes the observability flags every binary takes (-v, -quiet,
 // -log-json, -metrics-addr, -report, -perf, -stall-timeout, -stall-dump,
 // -perf-history) and the pipeline flags it shares with clgen and cldrive
@@ -20,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"clgen/internal/cli"
@@ -35,16 +40,20 @@ func main() {
 	var (
 		run     = flag.String("run", "all", "comma-separated experiments: "+strings.Join(experimentOrder, ","))
 		scale   = flag.String("scale", "full", "test | full")
-		seed    = flag.Int64("seed", 1, "campaign seed")
+		seed    = flag.Int64("seed", 0, "campaign seed (0 = the scale's own: 1 full, 7 test)")
 		kernels = flag.Int("kernels", 2000, "figure 9 kernel pool size")
 	)
 	tf := cli.RegisterPipeline(flag.CommandLine)
 	flag.Parse()
+	want, err := selectExperiments(*run)
+	if err != nil {
+		fatal(err)
+	}
 	rt, err := tf.Start("clexp")
 	if err != nil {
 		fatal(err)
 	}
-	err = campaign(rt, *run, *scale, *seed, *kernels, tf.StaticChecks)
+	err = campaign(rt, want, *scale, *seed, *kernels, tf.StaticChecks)
 	// Close before exiting so the run summary and -report are written
 	// even when an experiment failed partway.
 	if cerr := rt.Close(); err == nil {
@@ -55,18 +64,26 @@ func main() {
 	}
 }
 
-func campaign(rt *cli.Runtime, run, scale string, seed int64, kernels int, static bool) error {
-	want := map[string]bool{}
-	if run == "all" {
-		for _, e := range experimentOrder {
-			want[e] = true
-		}
-	} else {
-		for _, e := range strings.Split(run, ",") {
-			want[strings.TrimSpace(e)] = true
-		}
+// selectExperiments parses -run into the set of experiments to print, and
+// rejects a name that is not in experimentOrder.
+func selectExperiments(run string) (map[string]bool, error) {
+	names := experimentOrder
+	if run != "all" {
+		names = strings.Split(run, ",")
 	}
+	want := map[string]bool{}
+	for _, e := range names {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(experimentOrder, e) {
+			return nil, fmt.Errorf("unknown experiment %q in -run (want all or a comma-separated list of %s)",
+				e, strings.Join(experimentOrder, ","))
+		}
+		want[e] = true
+	}
+	return want, nil
+}
 
+func campaign(rt *cli.Runtime, want map[string]bool, scale string, seed int64, kernels int, static bool) error {
 	// Descriptive tables need no world.
 	section := func(name, body string) {
 		fmt.Printf("==== %s ====\n%s\n", name, body)
@@ -90,9 +107,12 @@ func campaign(rt *cli.Runtime, run, scale string, seed int64, kernels int, stati
 		return nil
 	}
 
-	cfg := experiments.Config{Seed: seed}
+	var cfg experiments.Config
 	if scale == "test" {
 		cfg = experiments.TestConfig()
+	}
+	if seed != 0 {
+		cfg.Seed = seed
 	}
 	cfg.StaticChecks = static
 	// Progress goes through the structured logger; -quiet already raised

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -51,6 +52,9 @@ func main() {
 	)
 	tf := cli.RegisterPipeline(flag.CommandLine)
 	flag.Parse()
+	if *mode == "train" && *modelF == "" {
+		fatal(errors.New("-mode train needs -model FILE"))
+	}
 	rt, err := tf.Start("clgen")
 	if err != nil {
 		fatal(err)
@@ -90,9 +94,6 @@ func synthesizer(rt *cli.Runtime, mode, modelF string, repos int, seed int64,
 		g, err := core.Build(cfg)
 		if err != nil {
 			return err
-		}
-		if modelF == "" {
-			return fmt.Errorf("-mode train needs -model FILE")
 		}
 		if err := g.Model.SaveFile(modelF); err != nil {
 			return err

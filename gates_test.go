@@ -245,6 +245,47 @@ func TestFootprintGate(t *testing.T) {
 	}
 }
 
+// TestStaticGate: under -static-checks cldrive prints the analyzer's
+// forecast for a kernel that writes past its buffer, then executes the
+// checker as it does without the flag: the same verdict, cause and fault
+// lines, exit 2, and one static_filter and one checked event, which
+// cltrace funnel joins into one agreement cell.
+func TestStaticGate(t *testing.T) {
+	dir := t.TempDir()
+	kernel, path := filepath.Join(dir, "oob.cl"), filepath.Join(dir, "run.jsonl")
+	src := "__kernel void A(__global float* a, __global float* b) {\n  int i = get_global_id(0);\n  b[i+5] = a[i];\n}\n"
+	if err := os.WriteFile(kernel, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plain := run(t, 2, nil, "cldrive", "-quiet", kernel)
+	for _, want := range []string{"dynamic checker: run failure\n", "  cause: ", "  fault: argument 1 (b) write"} {
+		if !bytes.Contains(plain, []byte(want)) {
+			t.Fatalf("cldrive stdout lacks %q:\n%s", want, plain)
+		}
+	}
+	static := run(t, 2, nil, "cldrive", "-quiet", "-static-checks", "-journal", path, kernel)
+	forecast := []byte("static forecast: run failure (static: oob-index)\n")
+	if !bytes.Contains(static, forecast) {
+		t.Errorf("-static-checks stdout lacks %q:\n%s", forecast, static)
+	}
+	if got := bytes.Replace(static, forecast, nil, 1); !bytes.Equal(got, plain) {
+		t.Errorf("-static-checks changed the checker's output:\n--- without ---\n%s--- with ---\n%s", plain, static)
+	}
+	events := readJournal(t, path)
+	stages := map[journal.Stage]int{}
+	for _, e := range events {
+		stages[e.Stage]++
+	}
+	if stages[journal.StageStaticFilter] != 1 || stages[journal.StageChecked] != 1 {
+		t.Errorf("journaled %d static_filter and %d checked events, want 1 and 1",
+			stages[journal.StageStaticFilter], stages[journal.StageChecked])
+	}
+	cell := journal.AgreementCell{Predicted: "run failure", Actual: "run failure"}
+	if got := journal.Funnel(events).Agreement; got[cell] != 1 || len(got) != 1 {
+		t.Errorf("agreement table %v, want only %+v once", got, cell)
+	}
+}
+
 // TestPerfGate: two same-seed -perf runs pass clperf diff, a run with an
 // injected sleep in core.synthesize trips it on that stage, and a
 // single-worker run under a longer sleep leaves a stall dump naming the
@@ -315,6 +356,50 @@ func TestLintExitCodes(t *testing.T) {
 	} {
 		run(t, 2, nil, "cllint", append(append([]string{"-quiet"}, args...), kernel)...)
 	}
+}
+
+// TestUsageExitCodes: a usage error exits 1 before any work, and the
+// flags that select work are applied at every scale.
+func TestUsageExitCodes(t *testing.T) {
+	// noFile fails the test if a usage error left the file at path.
+	noFile := func(t *testing.T, path string) {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("the usage error left %s (stat: %v)", filepath.Base(path), err)
+		}
+	}
+	t.Run("clexp-seed", func(t *testing.T) {
+		corpus := func(args ...string) []byte {
+			return run(t, 0, nil, "clexp", append([]string{"-scale", "test", "-run", "corpus", "-quiet"}, args...)...)
+		}
+		def := corpus()
+		if !bytes.Equal(def, corpus("-seed", "7")) {
+			t.Error("clexp -scale test without -seed no longer runs seed 7")
+		}
+		if bytes.Equal(def, corpus("-seed", "9")) {
+			t.Error("clexp -scale test -seed 9 printed what seed 7 prints")
+		}
+	})
+	t.Run("clexp-run", func(t *testing.T) {
+		if out := run(t, 1, nil, "clexp", "-scale", "test", "-run", "tabel1", "-quiet"); len(out) != 0 {
+			t.Errorf("clexp -run tabel1 printed:\n%s", out)
+		}
+	})
+	t.Run("clgen-model", func(t *testing.T) {
+		hist := filepath.Join(t.TempDir(), "hist.jsonl")
+		run(t, 1, nil, "clgen", "-mode", "train", "-repos", "15", "-quiet", "-perf-history", hist)
+		noFile(t, hist)
+	})
+	t.Run("cldrive-size", func(t *testing.T) {
+		dir := t.TempDir()
+		kernel, path := filepath.Join(dir, "k.cl"), filepath.Join(dir, "run.jsonl")
+		if err := os.WriteFile(kernel, []byte("__kernel void A(__global float* a) {\n  a[get_global_id(0)] = 1.0f;\n}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []string{"0", "-1"} {
+			run(t, 1, nil, "cldrive", "-quiet", "-size", size, "-journal", path, kernel)
+			noFile(t, path)
+		}
+	})
 }
 
 // TestExamplesRun: every program under examples/ runs to exit 0. The

@@ -12,7 +12,7 @@ import (
 // access-region machinery (regions.go) through the symbolic-affine
 // domain of symexpr.go and accumulating callee contributions across call
 // sites like featurepass.go does. The driver uses the upper extent to
-// enlarge §5.1 payload buffers under -footprint-sizing; the pre-screen
+// enlarge §5.1 payload buffers under -footprint-sizing; the analyzer
 // gains two lints from the same replay:
 //
 //   - buffer-overrun (Error): a must-executing access with an exactly

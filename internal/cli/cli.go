@@ -42,10 +42,11 @@ type Flags struct {
 	CacheDir        string // -cache-dir: persistent tier of the stage memos
 	PreciseFeatures bool   // -precise-features: analyzer-derived static features
 	FootprintSizing bool   // -footprint-sizing: §5.1 buffers sized by the proven footprint
-	// StaticChecks (-static-checks) turns on the static analyzer: strict
-	// rejection filtering in clgen and clexp, the dynamic-checker
-	// pre-screen in cldrive. Start does not apply it; each binary passes
-	// it into its pipeline's config.
+	// StaticChecks (-static-checks) turns on the static analyzer: the
+	// strict rejection filter in clgen and clexp (corpus and samples), and
+	// a printed and journaled §5.2 forecast in cldrive. Verdicts come from
+	// execution either way. Start does not apply it; each binary passes it
+	// into its pipeline's config.
 	StaticChecks bool
 }
 
@@ -71,7 +72,7 @@ func RegisterPipeline(fs *flag.FlagSet) *Flags {
 	f := Register(fs)
 	fs.StringVar(&f.JournalPath, "journal", "", "write a per-artifact JSONL provenance journal to this path (analyze with cltrace)")
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "persist content-addressed stage caches (filter/rewrite/feature/check/suite-launch results) under this directory; warm runs reuse them")
-	fs.BoolVar(&f.StaticChecks, "static-checks", false, "run the CFG+dataflow static analyzer: strict rejection filtering and dynamic-checker pre-screening")
+	fs.BoolVar(&f.StaticChecks, "static-checks", false, "run the CFG+dataflow static analyzer: strict rejection filtering (clgen, clexp) and a journaled §5.2 forecast beside the executed verdict (cldrive)")
 	fs.BoolVar(&f.PreciseFeatures, "precise-features", false, "derive static code features from the CFG+dataflow analyzer (precise coalescing/memory counts) instead of AST heuristics, and journal per-kernel feature-agreement events")
 	fs.BoolVar(&f.FootprintSizing, "footprint-sizing", false, "size §5.1 payload buffers to max(Sg, proven symbolic footprint) so stride-past-gid kernels are rescued instead of crashing, and journal per-kernel footprint events")
 	fs.Func("workers", "worker goroutines for parallel pipeline stages (default GOMAXPROCS)",

@@ -45,9 +45,6 @@ type CheckResult struct {
 	// memoized (internal/cache) and must be plain, immutable data.
 	TransferBytes int64
 	LocalSize     int
-	// Static marks a verdict the analyzer predicted without executing
-	// (RunConfig.Static == StaticPreScreen): no profile exists.
-	Static bool
 	// CacheHit marks a verdict served by the check memo instead of
 	// executed.
 	CacheHit bool
@@ -70,11 +67,6 @@ func (r CheckResult) OK() bool { return r.Verdict == UsefulWork }
 func Check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 	done := telemetry.BeginWorkf("driver.check", "%s@%d", k.Name, globalSize)
 	defer done()
-	if cfg.Static == StaticPreScreen {
-		if res, done := staticPreScreen(k); done {
-			return res
-		}
-	}
 	if journal.Enabled() && footprintSizing.Load() {
 		k.footprintEmitOnce.Do(func() { journal.Emit(footprintEvent(k)) })
 	}
@@ -110,48 +102,6 @@ func Check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 	}
 	return res
 }
-
-// staticPreScreen consults the analyzer before any execution. It journals
-// the forecast (a static_filter event keyed by the same content hash as
-// the kernel's checked events, so cltrace can join them) and resolves
-// predicted-to-fail kernels without running them. done reports that the
-// caller should return res as the verdict; no StageChecked event is
-// emitted for such kernels — the checker never ran.
-func staticPreScreen(k *Kernel) (res CheckResult, done bool) {
-	rep := k.Analysis()
-	pred := rep.PredictedVerdict(k.Name)
-	reason := ""
-	if d := rep.PrimaryError(); d != nil {
-		reason = corpusStaticReason(d.Lint)
-	}
-	if journal.Enabled() {
-		k.staticEmitOnce.Do(func() {
-			journal.Emit(journal.Event{ID: journal.ID(k.Src), Stage: journal.StageStaticFilter,
-				Reason: reason, Predicted: pred})
-		})
-	}
-	if pred == "" {
-		return CheckResult{}, false
-	}
-	// A run-failure forecast from an extent-based lint reasons about §5.1
-	// sizing; under -footprint-sizing the driver may allocate past that
-	// extent and rescue the kernel, so the forecast must not short-circuit
-	// the dynamic checker.
-	if footprintSizing.Load() && footprintRescuable(rep.Predictions[k.Name].Lint) {
-		return CheckResult{}, false
-	}
-	reg := telemetry.Default()
-	reg.Counter("driver_static_prescreen_skips_total",
-		"Kernels resolved by the static pre-screen without executing.").Inc()
-	reg.Counter("driver_static_prescreen_runs_saved_total",
-		"Dynamic executions the static pre-screen avoided (4 per skipped kernel).").Add(4)
-	return CheckResult{Verdict: CheckVerdict(pred), Static: true}, true
-}
-
-// corpusStaticReason mirrors corpus.StaticReason without importing the
-// corpus package (which imports driver's sibling packages): the journal
-// reason vocabulary must match across both emission sites.
-func corpusStaticReason(lint string) string { return "static: " + lint }
 
 func check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 	rngA := rand.New(rand.NewSource(seed))

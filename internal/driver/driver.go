@@ -30,18 +30,14 @@ type Kernel struct {
 
 	analysisOnce sync.Once
 	analysisRep  *analysis.Report
-	// staticEmitOnce dedups the static_filter journal event: the forecast
-	// is size-independent, so one event per loaded kernel regardless of
-	// how many sizes and payload seeds re-run Check.
-	staticEmitOnce sync.Once
 	// footprintEmitOnce dedups the per-kernel footprint journal event
 	// (emitted at a fixed reference size, so once is enough).
 	footprintEmitOnce sync.Once
 }
 
 // Analysis returns the static analyzer's report over the kernel's file,
-// computed on first use and cached (Check may consult it for every
-// size and payload seed the kernel is checked at).
+// computed on first use and cached (footprint sizing consults it for
+// every size and payload seed the kernel is checked at).
 func (k *Kernel) Analysis() *analysis.Report {
 	k.analysisOnce.Do(func() { k.analysisRep = analysis.Analyze(k.File) })
 	return k.analysisRep
@@ -259,25 +255,9 @@ func fillRandom(b *interp.Buffer, rng *rand.Rand) {
 	}
 }
 
-// StaticMode selects how the dynamic checker consults the static
-// analyzer.
-type StaticMode int
-
-// Static-analysis modes.
-const (
-	// StaticOff disables static analysis (the default).
-	StaticOff StaticMode = iota
-	// StaticPreScreen analyzes the kernel before executing and skips the
-	// four dynamic executions when the analyzer already predicts the §5.2
-	// verdict, recording the forecast in the journal.
-	StaticPreScreen
-)
-
 // RunConfig bounds one execution.
 type RunConfig struct {
 	MaxSteps int64 // interpreter budget standing in for the wall-clock timeout
-	// Static wires the internal/analysis pre-screen into Check.
-	Static StaticMode
 }
 
 // Run executes the kernel over the payload once, returning the dynamic

@@ -137,12 +137,3 @@ func footprintEvent(k *Kernel) journal.Event {
 	}
 	return ev
 }
-
-// footprintRescuable reports whether a static run-failure forecast may
-// be invalidated by footprint sizing: oob-index and buffer-overrun
-// reason about the §5.1 extent, which resizing changes, so their
-// predictions must not short-circuit the dynamic checker when the
-// payload they reasoned about is not the payload the driver builds.
-func footprintRescuable(lint string) bool {
-	return lint == "oob-index" || lint == "buffer-overrun"
-}

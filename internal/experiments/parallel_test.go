@@ -79,8 +79,7 @@ func TestBuildWorldDeterministicAcrossWorkers(t *testing.T) {
 
 // TestBuildWorldStaticDeterministicAcrossWorkers repeats the campaign
 // determinism check with -static-checks semantics: the strict corpus
-// filter, the sampler's static stage, and the driver pre-screen all run,
-// and the journal — including every static_filter event and its
+// filter and the sampler's static stage run, and the journal — including every static_filter event and its
 // predicted verdict — must be order-equivalent for every worker count.
 func TestBuildWorldStaticDeterministicAcrossWorkers(t *testing.T) {
 	cfg := Config{
@@ -106,14 +105,24 @@ func TestBuildWorldStaticDeterministicAcrossWorkers(t *testing.T) {
 		return w, events
 	}
 	want, wantEvents := build(1)
-	staticEvents := 0
+	// The sampler journals one static_filter event per sample that passed
+	// the base filter and is not a duplicate (a sample_filter event without
+	// a reason), and nothing else journals one: the checker forecasts
+	// nothing.
+	staticEvents, analyzed := 0, 0
 	for _, e := range wantEvents {
-		if e.Stage == journal.StageStaticFilter {
+		switch {
+		case e.Stage == journal.StageStaticFilter:
 			staticEvents++
+		case e.Stage == journal.StageSampleFilter && e.Reason == "":
+			analyzed++
 		}
 	}
 	if staticEvents == 0 {
 		t.Fatal("static campaign journaled no static_filter events")
+	}
+	if staticEvents != analyzed {
+		t.Errorf("journaled %d static_filter events for %d analyzed samples", staticEvents, analyzed)
 	}
 	if f := journal.Funnel(wantEvents); f.StaticChecked == 0 {
 		t.Error("funnel reconstructed no static-analysis stage from the journal")

@@ -42,8 +42,7 @@ type Config struct {
 	Workers int
 	// StaticChecks enables the internal/analysis strict filter across the
 	// campaign: corpus files and samples run the analyzer-backed rejection
-	// filter, and the host driver pre-screens synthetic kernels, skipping
-	// the four dynamic executions when the verdict is already predicted.
+	// filter. The dynamic checker executes every kernel the filter accepts.
 	StaticChecks bool
 	// Quiet suppresses progress logging.
 	Quiet bool
@@ -275,10 +274,6 @@ func (w *World) measureSynthetic() {
 		loadErr    string
 		pairs      []pair
 	}
-	staticMode := driver.StaticOff
-	if w.Cfg.StaticChecks {
-		staticMode = driver.StaticPreScreen
-	}
 	results := pool.Map(w.Cfg.Workers, len(w.Synth), func(i int) outcome {
 		done := telemetry.BeginWorkf("world.measure_synthetic", "clgen-%04d", i)
 		defer done()
@@ -294,7 +289,7 @@ func (w *World) measureSynthetic() {
 					// Synthesized kernels can be quadratic (loop bounds tied
 					// to the payload size); bound the timeout budget so they
 					// fail fast like a wall-clock timeout would.
-					Run: driver.RunConfig{MaxSteps: 16 << 20, Static: staticMode},
+					Run: driver.RunConfig{MaxSteps: 16 << 20},
 				})
 			if err != nil {
 				continue

@@ -90,8 +90,9 @@ type FunnelReport struct {
 	FeatureAllExact int
 	// Agreement tabulates the static analyzer's §5.2 forecast against the
 	// dynamic checker's verdict, per (predicted, actual) pair. Kernels the
-	// checker never ran (statically pre-screened) appear under the actual
-	// value "(not run)"; an empty prediction renders as "pass".
+	// checker never ran (rejected by the strict filter, or the run stopped
+	// first) appear under the actual value "(not run)"; an empty
+	// prediction renders as "pass".
 	Agreement map[AgreementCell]int
 
 	Loads        int
@@ -376,9 +377,9 @@ func Funnel(events []Event) *FunnelReport {
 		}
 	}
 	// Join forecasts with verdicts per kernel ID. A kernel the checker
-	// never touched (statically pre-screened, or the run stopped first)
-	// lands in the "(not run)" column; each distinct dynamic verdict of an
-	// ID contributes its own cell.
+	// never touched (rejected by the strict filter, or the run stopped
+	// first) lands in the "(not run)" column; each distinct dynamic
+	// verdict of an ID contributes its own cell.
 	for id, pred := range predicted {
 		vs := checked[id]
 		if len(vs) == 0 {

@@ -386,7 +386,7 @@ func TestDiffStaticGate(t *testing.T) {
 		case e.ID == "s1" && e.Stage == StageStaticFilter:
 			e.Reason, e.Predicted = "static: barrier-divergence", "run failure"
 		case e.ID == "s1" && (e.Stage == StageDriverLoad || e.Stage == StageChecked):
-			continue // pre-screened away, never executed
+			continue // rejected by the strict filter, never loaded
 		}
 		perturbed = append(perturbed, e)
 	}
