@@ -10,7 +10,8 @@
 //
 // -seed sets the campaign seed at either scale; without it a full
 // campaign runs seed 1 and a test-scale one seed 7. A -run name that is
-// not an experiment (see -help) is a usage error: exit 1 before any work.
+// not an experiment (see -help), or a -scale other than test and full,
+// is a usage error: exit 1 before any work.
 //
 // clexp takes the observability flags every binary takes (-v, -quiet,
 // -log-json, -metrics-addr, -report, -perf, -stall-timeout, -stall-dump,
@@ -48,6 +49,9 @@ func main() {
 	want, err := selectExperiments(*run)
 	if err != nil {
 		fatal(err)
+	}
+	if *scale != "test" && *scale != "full" {
+		fatal(fmt.Errorf("unknown -scale %q (want test or full)", *scale))
 	}
 	rt, err := tf.Start("clexp")
 	if err != nil {

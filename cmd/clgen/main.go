@@ -25,6 +25,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"clgen/internal/cli"
 	"clgen/internal/core"
@@ -35,9 +37,13 @@ import (
 	"clgen/internal/nn"
 )
 
+// modes are the values of -mode; any other is a usage error, reported
+// before any work.
+var modes = []string{"corpus", "train", "sample", "stats"}
+
 func main() {
 	var (
-		mode    = flag.String("mode", "sample", "corpus | train | sample | stats")
+		mode    = flag.String("mode", "sample", strings.Join(modes, " | "))
 		modelF  = flag.String("model", "", "model file to write (train) or read (sample)")
 		repos   = flag.Int("repos", 100, "repositories to mine")
 		seed    = flag.Int64("seed", 1, "random seed")
@@ -52,6 +58,9 @@ func main() {
 	)
 	tf := cli.RegisterPipeline(flag.CommandLine)
 	flag.Parse()
+	if !slices.Contains(modes, *mode) {
+		fatal(fmt.Errorf("unknown mode %q (want %s)", *mode, strings.Join(modes, ", ")))
+	}
 	if *mode == "train" && *modelF == "" {
 		fatal(errors.New("-mode train needs -model FILE"))
 	}
@@ -133,8 +142,6 @@ func synthesizer(rt *cli.Runtime, mode, modelF string, repos int, seed int64,
 		}
 		log.Info("synthesis done", "accepted", stats.Accepted, "attempts", stats.Attempts,
 			"accept_rate", fmt.Sprintf("%.0f%%", stats.AcceptRate()*100))
-	default:
-		return fmt.Errorf("unknown mode %q", mode)
 	}
 	return nil
 }

@@ -384,6 +384,18 @@ func TestUsageExitCodes(t *testing.T) {
 			t.Errorf("clexp -run tabel1 printed:\n%s", out)
 		}
 	})
+	t.Run("clexp-scale", func(t *testing.T) {
+		hist := filepath.Join(t.TempDir(), "hist.jsonl")
+		if out := run(t, 1, nil, "clexp", "-scale", "tset", "-run", "table2", "-quiet", "-perf-history", hist); len(out) != 0 {
+			t.Errorf("clexp -scale tset printed:\n%s", out)
+		}
+		noFile(t, hist)
+	})
+	t.Run("clgen-mode", func(t *testing.T) {
+		hist := filepath.Join(t.TempDir(), "hist.jsonl")
+		run(t, 1, nil, "clgen", "-mode", "bogus", "-quiet", "-perf-history", hist)
+		noFile(t, hist)
+	})
 	t.Run("clgen-model", func(t *testing.T) {
 		hist := filepath.Join(t.TempDir(), "hist.jsonl")
 		run(t, 1, nil, "clgen", "-mode", "train", "-repos", "15", "-quiet", "-perf-history", hist)

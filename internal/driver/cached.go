@@ -19,7 +19,7 @@ import (
 // payload generator and the platform-independent verdict logic in this
 // package — bump the prefix on any behavioral change there — and on the
 // interpreter, whose changes bump interp.Version.
-const checkVersion = "driver-check-v4|" + interp.Version
+const checkVersion = "driver-check-v5|" + interp.Version
 
 // checkEntry is the serializable mirror of a check()'s CheckResult. The
 // profile is stored by value: every conversion back hands the consumer a

@@ -130,6 +130,17 @@ func (p *Payload) Clone() *Payload {
 	return np
 }
 
+// release gives the storage of the payload's buffers back for reuse
+// (interp.Buffer.Release). Only the payload's owner releases it, after
+// its last read.
+func (p *Payload) release() {
+	for _, a := range p.Args {
+		if a.IsPointer() {
+			a.Ptr.Buf.Release()
+		}
+	}
+}
+
 // DefaultLocalSize is the work-group size used when the caller does not
 // specify one.
 const DefaultLocalSize = 64

@@ -138,7 +138,7 @@ func newEnv(f *clc.File, park bool) (*Env, error) {
 
 func (env *Env) initGlobal(vd *clc.VarDecl) error {
 	if at, ok := vd.Type.(*clc.ArrayType); ok {
-		buf := NewBuffer(elemKind(at), int(scalarSlots(at)), vd.Space)
+		buf := newBuffer(elemKind(at), int(scalarSlots(at)), vd.Space)
 		if il, ok := vd.Init.(*clc.InitList); ok {
 			if err := fillBufferFromInitList(buf, il, 0); err != nil {
 				return fmt.Errorf("initializing %s: %w", vd.Name, err)

@@ -78,9 +78,9 @@ func (s *slot) read(ar *arena) (Value, error) {
 }
 
 // store writes an already-converted value into the variable.
-func (s *slot) store(ar *arena, v Value) error {
+func (s *slot) store(v Value) error {
 	if s.boxed {
-		return store(ar, s.buf, 0, v, s.ptr.Elem)
+		return store(s.buf, 0, v, s.ptr.Elem)
 	}
 	s.val = v
 	return nil
@@ -115,6 +115,18 @@ type wiCtx struct {
 }
 
 const maxCallDepth = 64
+
+// forget clears every value c's frames, argument stack and return value
+// hold, keeping their storage and the lane arena, so that a recycled
+// context keeps nothing of its launch alive.
+func (c *wiCtx) forget() {
+	for _, fr := range c.frames {
+		clear(fr[:cap(fr)])
+	}
+	clear(c.vals[:cap(c.vals)])
+	c.vals, c.frame, c.depth, c.resuming = c.vals[:0], nil, 0, false
+	c.prof, c.locals, c.retVal = nil, nil, Value{}
+}
 
 func (c *wiCtx) step() error {
 	c.budget--
@@ -826,7 +838,7 @@ func (cp *compiler) decl(d *clc.VarDecl) func(*wiCtx) error {
 		return func(c *wiCtx) error {
 			p := c.locals[li]
 			if p == nil {
-				p = &Pointer{Buf: NewBuffer(kind, n, space), Elem: at.Elem}
+				p = &Pointer{Buf: newBuffer(kind, n, space), Elem: at.Elem}
 				c.locals[li] = p
 			}
 			c.declare(idx, cell, slot{buf: p.Buf, ptr: p})
@@ -839,7 +851,7 @@ func (cp *compiler) decl(d *clc.VarDecl) func(*wiCtx) error {
 	}
 	idx, cell := cp.bind(d.Name)
 	return func(c *wiCtx) error {
-		buf := NewBuffer(kind, n, space)
+		buf := newBuffer(kind, n, space)
 		if fill != nil {
 			if err := fill(c, buf, 0); err != nil {
 				return err
@@ -929,23 +941,23 @@ func (c *wiCtx) writeLoc(l *loc, v Value) error {
 		}
 		merged := insertLanes(c.arena, base, l.lanes, v)
 		if l.slot != nil {
-			return l.slot.store(c.arena, merged)
+			return l.slot.store(merged)
 		}
 		c.countMem(l.buf.Space, len(l.lanes), true)
-		return store(c.arena, l.buf, l.off, merged, l.typ)
+		return store(l.buf, l.off, merged, l.typ)
 	}
 	if l.slot == nil {
 		c.countMem(l.buf.Space, widthOfType(l.typ), true)
-		return store(c.arena, l.buf, l.off, v, l.typ)
+		return store(l.buf, l.off, v, l.typ)
 	}
 	if v.IsPointer() {
-		return l.slot.store(c.arena, v)
+		return l.slot.store(v)
 	}
 	conv, err := convert(c.arena, v, l.typ)
 	if err != nil {
 		return err
 	}
-	return l.slot.store(c.arena, conv)
+	return l.slot.store(conv)
 }
 
 func widthOfType(t clc.Type) int {
@@ -1519,7 +1531,7 @@ func (cp *compiler) addrOf(e clc.Expr) evalFn {
 			// array, so that the pointer and later accesses by name share
 			// its storage (out-parameters of fract/sincos, *p = v).
 			kind, w := s.val.Kind, max(s.val.Width, 1)
-			buf := NewBuffer(kind, w, clc.Private)
+			buf := newBuffer(kind, w, clc.Private)
 			for l := 0; l < w; l++ {
 				sc := convertLane(s.val.lane(l), s.val, kind)
 				_ = buf.storeScalar(int64(l), sc.i, sc.f)

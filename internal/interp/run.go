@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"sync"
 
 	"clgen/internal/clc"
 )
@@ -55,14 +56,9 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 	if !fn.admits(args) {
 		fn = fn.plain()
 	}
-	l := &launch{
-		fn:     fn,
-		park:   fn.parks != nil,
-		prof:   &Profile{},
-		budget: cfg.MaxSteps,
-		image:  make([]slot, fn.nslots),
-		locals: make([]*Pointer, len(env.locals)),
-	}
+	l := borrowLaunch(fn, len(env.locals))
+	defer l.release()
+	l.prof, l.budget = &Profile{}, cfg.MaxSteps
 	l.bindErr = bindParams(nil, fd, args, l.image)
 	for d := 0; d < 3; d++ {
 		l.gsize[d] = int64(cfg.GlobalSize[d])
@@ -70,13 +66,12 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 		l.ngrp[d] = l.gsize[d] / l.lsize[d]
 	}
 	lockstep := env.usesBarrier[name]
-	defer l.stop()
 	for gz := int64(0); gz < l.ngrp[2]; gz++ {
 		for gy := int64(0); gy < l.ngrp[1]; gy++ {
 			for gx := int64(0); gx < l.ngrp[0]; gx++ {
 				for _, i := range localArgs {
 					t := args[i].Ptr
-					buf := NewBuffer(t.Buf.Kind, t.Buf.Len(), clc.Local)
+					buf := newBuffer(t.Buf.Kind, t.Buf.Len(), clc.Local)
 					l.image[i] = slot{val: PtrValue(&Pointer{Buf: buf, Elem: t.Elem})}
 				}
 				clear(l.locals)
@@ -113,6 +108,62 @@ type launch struct {
 	seq                *wiCtx      // the sequential path's one context
 	items              []*wiHandle // the lockstep path's work-items
 	cancel             bool        // a lockstep work-item of the group failed
+}
+
+// launches recycles launches: the storage of their frame image and
+// __local table, the sequential path's context with its frames and lane
+// arena, and parking work-items with their frames. A launch then
+// allocates little but its Profile.
+var launches = sync.Pool{New: func() any { return new(launch) }}
+
+// borrowLaunch takes a launch of fn from launches, its frame image of
+// fn.nslots zero slots and its table of nlocals __local arrays empty.
+// Work-item goroutines are made for each launch, so a launch whose
+// work-items do not park keeps no work-items of an earlier one.
+func borrowLaunch(fn *function, nlocals int) *launch {
+	l := launches.Get().(*launch)
+	l.fn, l.park = fn, fn.parks != nil
+	l.image = resize(l.image, fn.nslots)
+	l.locals = resize(l.locals, nlocals)
+	if !l.park {
+		l.items = nil
+	}
+	return l
+}
+
+// resize returns s with length n, reusing its storage when it is long
+// enough. Elements past the old length read as whatever was there, so the
+// storage must be cleared before it is recycled.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// release ends the launch's work-item goroutines, all idle between
+// groups, and hands the launch back to launches with every value its
+// image, __local table and contexts hold cleared, so that a recycled
+// launch keeps nothing of this one alive and reads as a new one.
+func (l *launch) release() {
+	for _, h := range l.items {
+		if h.resume != nil {
+			close(h.resume)
+		}
+	}
+	if !l.park {
+		l.items = nil
+	}
+	for _, h := range l.items {
+		h.c.forget()
+	}
+	if l.seq != nil {
+		l.seq.forget()
+	}
+	clear(l.image[:cap(l.image)])
+	clear(l.locals[:cap(l.locals)])
+	*l = launch{image: l.image[:0], locals: l.locals[:0], seq: l.seq, items: l.items}
+	launches.Put(l)
 }
 
 // enter runs the kernel as work-item c: on a copy of the frame image or,
@@ -213,15 +264,6 @@ func (l *launch) newWorkItem() *wiHandle {
 		}
 	}()
 	return h
-}
-
-// stop ends the lockstep goroutines, all idle between groups.
-func (l *launch) stop() {
-	for _, h := range l.items {
-		if h.resume != nil {
-			close(h.resume)
-		}
-	}
 }
 
 // phase runs h until it reaches a barrier or finishes, lending it the

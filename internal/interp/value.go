@@ -9,6 +9,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"sync"
 	"unsafe"
 
 	"clgen/internal/clc"
@@ -150,10 +151,61 @@ type Buffer struct {
 	// buffer is untouched: the observed footprint that the differential
 	// soundness test compares against the statically proven one.
 	MaxSlot int64
+	// pooled holds F or I while they are recycled storage, which Release
+	// gives back.
+	pooled *storage
 }
 
-// NewBuffer allocates a zeroed buffer of n scalar slots of the given kind.
+// storage is one buffer's slots, recycled through a pool per kind and
+// length: f for a float kind, i for an integer one.
+type storage struct {
+	f []float64
+	i []int64
+}
+
+type storageKey struct {
+	float bool
+	n     int
+}
+
+var (
+	storageMu    sync.Mutex
+	storagePools = map[storageKey]*sync.Pool{}
+)
+
+// storagePool returns the pool of storage of n slots of float or integer
+// kind.
+func storagePool(float bool, n int) *sync.Pool {
+	k := storageKey{float, n}
+	storageMu.Lock()
+	defer storageMu.Unlock()
+	p := storagePools[k]
+	if p == nil {
+		p = &sync.Pool{New: func() any {
+			if float {
+				return &storage{f: make([]float64, n)}
+			}
+			return &storage{i: make([]int64, n)}
+		}}
+		storagePools[k] = p
+	}
+	return p
+}
+
+// NewBuffer returns a zeroed buffer of n scalar slots of the given kind.
+// Its storage may be recycled from a released buffer of the same kind and
+// length.
 func NewBuffer(kind clc.ScalarKind, n int, space clc.AddrSpace) *Buffer {
+	b := &Buffer{Kind: kind, Space: space, Arg: -1, MaxSlot: -1}
+	b.take(n)
+	clear(b.F)
+	clear(b.I)
+	return b
+}
+
+// newBuffer is NewBuffer on fresh storage, for the interpreter's own
+// arrays (file-scope, __local and private), which nothing releases.
+func newBuffer(kind clc.ScalarKind, n int, space clc.AddrSpace) *Buffer {
 	b := &Buffer{Kind: kind, Space: space, Arg: -1, MaxSlot: -1}
 	if kind.IsFloat() {
 		b.F = make([]float64, n)
@@ -161,6 +213,25 @@ func NewBuffer(kind clc.ScalarKind, n int, space clc.AddrSpace) *Buffer {
 		b.I = make([]int64, n)
 	}
 	return b
+}
+
+// take gives b storage of n slots of its kind from the pool, its contents
+// whatever the buffer that released it left.
+func (b *Buffer) take(n int) {
+	b.pooled = storagePool(b.Kind.IsFloat(), n).Get().(*storage)
+	b.F, b.I = b.pooled.f, b.pooled.i
+}
+
+// Release gives the buffer's storage back for NewBuffer and Clone to
+// recycle, and leaves the buffer empty: a stale reference to it reads as
+// a buffer of no slots, where every access faults, instead of aliasing
+// the buffer that reuses the storage. Only the buffer's owner releases it,
+// after its last read of the buffer and of anything sharing its slots.
+func (b *Buffer) Release() {
+	if s := b.pooled; s != nil {
+		storagePool(b.Kind.IsFloat(), len(s.f)+len(s.i)).Put(s)
+	}
+	b.F, b.I, b.pooled = nil, nil, nil
 }
 
 // Len returns the number of scalar slots.
@@ -171,15 +242,13 @@ func (b *Buffer) Len() int {
 	return len(b.I)
 }
 
-// Clone returns a deep copy of the buffer.
+// Clone returns a deep copy of the buffer, its storage recycled like
+// NewBuffer's.
 func (b *Buffer) Clone() *Buffer {
 	nb := &Buffer{Kind: b.Kind, Space: b.Space, Arg: b.Arg, MaxSlot: b.MaxSlot}
-	if b.F != nil {
-		nb.F = append([]float64(nil), b.F...)
-	}
-	if b.I != nil {
-		nb.I = append([]int64(nil), b.I...)
-	}
+	nb.take(b.Len())
+	copy(nb.F, b.F)
+	copy(nb.I, b.I)
 	return nb
 }
 
@@ -521,21 +590,26 @@ func load(ar *arena, b *Buffer, off int64, t clc.Type) (Value, error) {
 	return Value{}, fmt.Errorf("cannot load %s from memory", t)
 }
 
-// store writes v (of type t) at slot off of b, converting a vector
-// through lanes from ar.
-func store(ar *arena, b *Buffer, off int64, v Value, t clc.Type) error {
+// store writes v (of type t) at slot off of b. Each lane is converted to
+// t's kind, as Convert would, then to the buffer's kind; a scalar stored
+// as a vector is splat.
+func store(b *Buffer, off int64, v Value, t clc.Type) error {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
 		c := ConvertScalar(v, tt.Kind)
 		l := convertLane(lane{c.i, c.f}, c, b.Kind)
 		return b.storeScalar(off, l.i, l.f)
 	case *clc.VectorType:
-		cv, err := convert(ar, v, tt)
-		if err != nil {
-			return err
+		if v.Width > 1 && v.Width != tt.Len {
+			return fmt.Errorf("cannot convert %d-wide vector to %s", v.Width, t)
 		}
+		elem := Value{Kind: tt.Elem}
 		for l := 0; l < tt.Len; l++ {
-			c := convertLane(cv.lane(l), cv, b.Kind)
+			src := l
+			if v.Width <= 1 {
+				src = 0
+			}
+			c := convertLane(convertLane(v.lane(src), v, tt.Elem), elem, b.Kind)
 			if err := b.storeScalar(off+int64(l), c.i, c.f); err != nil {
 				return err
 			}
