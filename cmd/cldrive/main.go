@@ -10,11 +10,9 @@
 // Exit 2 means the dynamic checker rejected the kernel. A -size below 1
 // is a usage error: cldrive exits 1 before it loads the kernel.
 //
-// cldrive takes the observability flags every binary takes (-v, -quiet,
-// -log-json, -metrics-addr, -report, -perf, -stall-timeout, -stall-dump,
-// -perf-history) and the pipeline flags it shares with clgen and clexp
-// (-journal, -cache-dir, -static-checks, -precise-features,
-// -footprint-sizing, -workers); internal/cli applies them. Under
+// cldrive takes the observability flags every binary takes and the
+// pipeline flags it shares with clgen and clexp; internal/cli registers
+// (Register, RegisterPipeline) and applies them. Under
 // -static-checks, cldrive prints and journals the static analyzer's §5.2
 // forecast, then executes the checker exactly as it does without the
 // flag: verdicts come from execution only.
@@ -25,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 
 	"clgen/internal/cli"
@@ -121,7 +120,7 @@ func drive(rt *cli.Runtime, size int, seed int64, cap int, static bool, args []s
 			}
 			fmt.Printf("  fault: %s %s slot %d of %d\n", culprit, op, f.Slot, f.Len)
 		}
-		rt.Log.Warn("kernel rejected", "kernel", k.Name, "verdict", string(res.Verdict))
+		slog.Warn("kernel rejected", "kernel", k.Name, "verdict", string(res.Verdict))
 		return errCheckerRejected
 	}
 

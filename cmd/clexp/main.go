@@ -13,12 +13,10 @@
 // not an experiment (see -help), or a -scale other than test and full,
 // is a usage error: exit 1 before any work.
 //
-// clexp takes the observability flags every binary takes (-v, -quiet,
-// -log-json, -metrics-addr, -report, -perf, -stall-timeout, -stall-dump,
-// -perf-history) and the pipeline flags it shares with clgen and cldrive
-// (-journal, -cache-dir, -static-checks, -precise-features,
-// -footprint-sizing, -workers); internal/cli applies them. Outputs are
-// identical for every -workers value and for a warm -cache-dir.
+// clexp takes the observability flags every binary takes and the pipeline
+// flags it shares with clgen and cldrive; internal/cli registers
+// (Register, RegisterPipeline) and applies them. Outputs are identical
+// for every -workers value and for a warm -cache-dir.
 package main
 
 import (
@@ -57,7 +55,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	err = campaign(rt, want, *scale, *seed, *kernels, tf.StaticChecks)
+	err = campaign(want, *scale, *seed, *kernels, tf.StaticChecks)
 	// Close before exiting so the run summary and -report are written
 	// even when an experiment failed partway.
 	if cerr := rt.Close(); err == nil {
@@ -87,7 +85,7 @@ func selectExperiments(run string) (map[string]bool, error) {
 	return want, nil
 }
 
-func campaign(rt *cli.Runtime, want map[string]bool, scale string, seed int64, kernels int, static bool) error {
+func campaign(want map[string]bool, scale string, seed int64, kernels int, static bool) error {
 	// Descriptive tables need no world.
 	section := func(name, body string) {
 		fmt.Printf("==== %s ====\n%s\n", name, body)
@@ -119,10 +117,9 @@ func campaign(rt *cli.Runtime, want map[string]bool, scale string, seed int64, k
 		cfg.Seed = seed
 	}
 	cfg.StaticChecks = static
-	// Progress goes through the structured logger; -quiet already raised
-	// the logger level, so the config hook stays active either way.
+	// Progress goes through slog; -quiet already raised the log level, so
+	// the config hook stays active either way.
 	cfg.Quiet = false
-	cfg.Log = rt.Log.Logf
 	w, err := experiments.BuildWorld(cfg)
 	if err != nil {
 		return err

@@ -10,12 +10,10 @@
 //	clgen -mode sample [-n N] [-model FILE] [-repos N] [-seed S] [-temp T] [-free]
 //	clgen -mode stats  [-repos N] [-seed S]
 //
-// clgen takes the observability flags every binary takes (-v, -quiet,
-// -log-json, -metrics-addr, -report, -perf, -stall-timeout, -stall-dump,
-// -perf-history) and the pipeline flags it shares with clexp and cldrive
-// (-journal, -cache-dir, -static-checks, -precise-features,
-// -footprint-sizing, -workers); internal/cli applies them. Outputs are
-// identical for every -workers value and for a warm -cache-dir.
+// clgen takes the observability flags every binary takes and the pipeline
+// flags it shares with clexp and cldrive; internal/cli registers
+// (Register, RegisterPipeline) and applies them. Outputs are identical
+// for every -workers value and for a warm -cache-dir.
 // -static-checks makes the rejection filter strict. -footprint-sizing
 // has no effect here: clgen never runs the dynamic checker.
 package main
@@ -24,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"slices"
 	"strings"
@@ -69,7 +68,7 @@ func main() {
 		fatal(err)
 	}
 
-	err = synthesizer(rt, *mode, *modelF, *repos, *seed, *n, *temp, *backend,
+	err = synthesizer(*mode, *modelF, *repos, *seed, *n, *temp, *backend,
 		*free, *order, *hidden, *layers, *epochs, tf.StaticChecks)
 	if cerr := rt.Close(); err == nil {
 		err = cerr
@@ -79,10 +78,9 @@ func main() {
 	}
 }
 
-func synthesizer(rt *cli.Runtime, mode, modelF string, repos int, seed int64,
+func synthesizer(mode, modelF string, repos int, seed int64,
 	n int, temp float64, backend string, free bool, order, hidden, layers, epochs int,
 	static bool) error {
-	log := rt.Log
 	switch mode {
 	case "corpus", "stats":
 		files := github.Mine(github.MinerConfig{Seed: seed, Repos: repos, FilesPerRepo: 8})
@@ -99,7 +97,7 @@ func synthesizer(rt *cli.Runtime, mode, modelF string, repos int, seed int64,
 		}
 	case "train":
 		cfg := coreConfig(repos, seed, backend, order, hidden, layers, epochs, static)
-		log.Info("building corpus and training model", "backend", string(cfg.Backend))
+		slog.Info("building corpus and training model", "backend", string(cfg.Backend))
 		g, err := core.Build(cfg)
 		if err != nil {
 			return err
@@ -107,7 +105,7 @@ func synthesizer(rt *cli.Runtime, mode, modelF string, repos int, seed int64,
 		if err := g.Model.SaveFile(modelF); err != nil {
 			return err
 		}
-		log.Info("model written", "path", modelF)
+		slog.Info("model written", "path", modelF)
 	case "sample":
 		var m *model.Model
 		if modelF != "" {
@@ -122,7 +120,7 @@ func synthesizer(rt *cli.Runtime, mode, modelF string, repos int, seed int64,
 		if m != nil {
 			g = &core.CLgen{Model: m, Static: static}
 		} else {
-			log.Info("building corpus and training model", "backend", string(cfg.Backend))
+			slog.Info("building corpus and training model", "backend", string(cfg.Backend))
 			built, err := core.Build(cfg)
 			if err != nil {
 				return err
@@ -135,12 +133,12 @@ func synthesizer(rt *cli.Runtime, mode, modelF string, repos int, seed int64,
 		}
 		kernels, stats, err := g.Synthesize(n, opts, seed+100)
 		if err != nil {
-			log.Warn("synthesis shortfall", "err", err)
+			slog.Warn("synthesis shortfall", "err", err)
 		}
 		for i, k := range kernels {
 			fmt.Printf("// --- kernel %d ---\n%s\n\n", i+1, k)
 		}
-		log.Info("synthesis done", "accepted", stats.Accepted, "attempts", stats.Attempts,
+		slog.Info("synthesis done", "accepted", stats.Accepted, "attempts", stats.Attempts,
 			"accept_rate", fmt.Sprintf("%.0f%%", stats.AcceptRate()*100))
 	}
 	return nil

@@ -12,8 +12,7 @@
 //	                                suites (regression baseline; output
 //	                                is deterministic and golden-diffable)
 //	cllint -format json ...         emit diagnostics as JSON lines
-//	                                (file, line, col, lint, severity, msg);
-//	                                -json is a shorthand
+//	                                (file, line, col, lint, severity, msg)
 //	cllint -format sarif ...        emit one SARIF 2.1.0 document
 //	cllint -footprints ...          also print each kernel's proven
 //	                                per-pointer-argument access footprints
@@ -29,12 +28,10 @@
 // that cannot be written. Error-severity diagnostics are the ones the
 // strict corpus filter (clgen -static-checks) rejects on.
 //
-// cllint takes the observability flags of the other binaries (-v,
-// -quiet, -log-json, -metrics-addr, -report, -perf, -stall-timeout,
-// -stall-dump, -perf-history); -quiet both lowers the log level and
+// cllint takes the observability flags of the other binaries
+// (cli.Register in internal/cli); -quiet both lowers the log level and
 // suppresses the per-input summary on stderr. It runs no pipeline, so it
-// rejects the pipeline flags (-journal, -cache-dir, -static-checks,
-// -precise-features, -footprint-sizing, -workers) as usage errors.
+// rejects the pipeline flags (cli.RegisterPipeline) as usage errors.
 package main
 
 import (
@@ -55,15 +52,11 @@ import (
 func main() {
 	var (
 		suitesMode = flag.Bool("suites", false, "lint the built-in benchmark suites instead of files")
-		jsonMode   = flag.Bool("json", false, "shorthand for -format json")
 		format     = flag.String("format", "text", "output format: text, json, or sarif")
 		footprints = flag.Bool("footprints", false, "print per-kernel pointer-argument access footprints")
 	)
 	tf := cli.Register(flag.CommandLine)
 	flag.Parse()
-	if *jsonMode && *format == "text" {
-		*format = "json"
-	}
 	switch *format {
 	case "text", "json", "sarif":
 	default:
@@ -98,8 +91,8 @@ func main() {
 	}
 }
 
-// diagJSON is the -json wire format: one object per diagnostic, one per
-// line, stable field names.
+// diagJSON is the -format json wire format: one object per diagnostic,
+// one per line, stable field names.
 type diagJSON struct {
 	File      string `json:"file"`
 	Line      int    `json:"line"`

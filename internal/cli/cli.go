@@ -10,6 +10,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"strconv"
 	"time"
@@ -27,15 +28,13 @@ import (
 // parsing it sets pool.SetWorkers directly.
 type Flags struct {
 	// Observability flags.
-	Verbose      bool          // -v: debug logging
-	Quiet        bool          // -quiet: warnings and errors only
-	JSONLog      bool          // -log-json: JSON log encoding
-	MetricsAddr  string        // -metrics-addr: serve /metrics, /vars, /stages, /debug/pprof
-	ReportPath   string        // -report: write a RunReport JSON on exit
-	Perf         bool          // -perf: per-stage resource deltas in every span
-	StallTimeout time.Duration // -stall-timeout: stall watchdog deadline (0 = off)
-	StallDump    string        // -stall-dump: watchdog dump path ("" = <component>.stall.txt)
-	PerfHistory  string        // -perf-history: append a run-history record on exit
+	Verbose     bool   // -v: debug logging
+	Quiet       bool   // -quiet: warnings and errors only
+	JSONLog     bool   // -log-json: JSON log encoding
+	MetricsAddr string // -metrics-addr: serve /metrics, /vars, /stages, /debug/pprof
+	ReportPath  string // -report: write a RunReport JSON on exit
+	Perf        bool   // -perf: per-stage resource deltas in every span
+	PerfHistory string // -perf-history: append a run-history record on exit
 
 	// Pipeline flags.
 	JournalPath     string // -journal: per-artifact JSONL provenance journal
@@ -60,8 +59,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve /metrics, /vars and /debug/pprof on this address (e.g. :9090)")
 	fs.StringVar(&f.ReportPath, "report", "", "write a JSON telemetry RunReport to this path on exit")
 	fs.BoolVar(&f.Perf, "perf", false, "sample per-stage CPU time, heap allocations, GC pauses and goroutine counts into spans and perf_* metrics")
-	fs.DurationVar(&f.StallTimeout, "stall-timeout", 0, "arm the stall watchdog: dump stacks, flight recorder and in-flight artifacts if no progress for this long (0 disables)")
-	fs.StringVar(&f.StallDump, "stall-dump", "", "stall watchdog dump path (default <component>.stall.txt)")
 	fs.StringVar(&f.PerfHistory, "perf-history", "", "append a machine-stamped per-stage run profile to this JSONL history on exit (inspect with clperf)")
 	return f
 }
@@ -87,43 +84,40 @@ func RegisterPipeline(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Runtime is a started binary's run: the configured logger, the optional
-// metrics server, and what Close must finish.
+// Runtime is a started binary's run: the optional metrics server and
+// what Close must finish.
 type Runtime struct {
-	Log       *telemetry.Logger
 	Server    *telemetry.Server
 	component string
 	flags     *Flags
 	start     time.Time
 	journal   *journal.Writer
-	watchdog  *perf.Watchdog
 }
 
-// Start applies the flags: it configures the default logger, opens and
-// activates the journal, points the stage caches at -cache-dir, switches
-// on the pipeline modes, turns on perf sampling, arms the watchdog and
-// starts the metrics server. When a step fails, Start deactivates the
-// journal, turns sampling off and stops the watchdog before it returns
-// the error; no run-history record is appended.
+// Start applies the flags: it installs the default slog logger, opens
+// and activates the journal, points the stage caches at -cache-dir,
+// switches on the pipeline modes, turns on perf sampling and starts the
+// metrics server. When a step fails, Start deactivates the journal and
+// turns sampling off before it returns the error; no run-history record
+// is appended.
 func (f *Flags) Start(component string) (_ *Runtime, err error) {
-	level := telemetry.LevelInfo
+	opts := &slog.HandlerOptions{Level: slog.LevelInfo}
 	if f.Verbose {
-		level = telemetry.LevelDebug
+		opts.Level = slog.LevelDebug
 	}
 	if f.Quiet {
-		level = telemetry.LevelWarn
+		opts.Level = slog.LevelWarn
 	}
-	enc := telemetry.EncodeText
+	var h slog.Handler = slog.NewTextHandler(os.Stderr, opts)
 	if f.JSONLog {
-		enc = telemetry.EncodeJSON
+		h = slog.NewJSONHandler(os.Stderr, opts)
 	}
-	log := telemetry.NewLogger(os.Stderr, level, enc).With("component", component)
-	telemetry.SetDefaultLogger(log)
+	slog.SetDefault(slog.New(h).With("component", component))
 
-	rt := &Runtime{Log: log, component: component, flags: f, start: time.Now()}
+	rt := &Runtime{component: component, flags: f, start: time.Now()}
 	defer func() {
 		if err != nil {
-			rt.stopPerf()
+			telemetry.EnablePerfSampling(nil)
 			rt.closeJournal()
 		}
 	}()
@@ -134,31 +128,24 @@ func (f *Flags) Start(component string) (_ *Runtime, err error) {
 		}
 		journal.SetActive(w)
 		rt.journal = w
-		log.Info("provenance journal open", "path", f.JournalPath)
+		slog.Info("provenance journal open", "path", f.JournalPath)
 	}
 	if f.CacheDir != "" {
 		if err := cache.SetDir(f.CacheDir); err != nil {
 			return nil, err
 		}
-		log.Info("persistent stage cache enabled", "dir", f.CacheDir)
+		slog.Info("persistent stage cache enabled", "dir", f.CacheDir)
 	}
 	if f.PreciseFeatures {
 		features.SetPrecise(true)
-		log.Info("precise feature extraction enabled")
+		slog.Info("precise feature extraction enabled")
 	}
 	if f.FootprintSizing {
 		driver.SetFootprintSizing(true)
-		log.Info("footprint-aware payload sizing enabled")
+		slog.Info("footprint-aware payload sizing enabled")
 	}
 	if f.Perf {
 		telemetry.EnablePerfSampling(perf.Sample)
-	}
-	if f.StallTimeout > 0 {
-		rt.watchdog = perf.StartWatchdog(perf.WatchdogConfig{
-			Component: component,
-			Deadline:  f.StallTimeout,
-			DumpPath:  f.StallDump,
-		})
 	}
 	if f.MetricsAddr != "" {
 		srv, err := telemetry.Serve(f.MetricsAddr, telemetry.Default(), telemetry.DefaultTracer())
@@ -166,7 +153,7 @@ func (f *Flags) Start(component string) (_ *Runtime, err error) {
 			return nil, err
 		}
 		rt.Server = srv
-		log.Info("telemetry server listening",
+		slog.Info("telemetry server listening",
 			"addr", srv.Addr, "endpoints", "/metrics /vars /stages /debug/pprof/")
 	}
 	return rt, nil
@@ -174,10 +161,10 @@ func (f *Flags) Start(component string) (_ *Runtime, err error) {
 
 // Close finishes the run, in order: it prints the stage-tree run summary
 // (unless -quiet or -log-json: the tree is plain text and would corrupt a
-// JSON-lines stream), writes -report, stops the watchdog and sampling and
-// appends the -perf-history record (which must see every ended span),
-// closes the journal, and stops the metrics server. It logs each failure
-// and returns the first.
+// JSON-lines stream), writes -report, turns sampling off and appends the
+// -perf-history record (which must see every ended span), closes the
+// journal, and stops the metrics server. It logs each failure and returns
+// the first.
 func (rt *Runtime) Close() error {
 	f := rt.flags
 	var firstErr error
@@ -185,7 +172,7 @@ func (rt *Runtime) Close() error {
 		if firstErr == nil {
 			firstErr = err
 		}
-		rt.Log.Error(msg, append(kv, "err", err)...)
+		slog.Error(msg, append(kv, "err", err)...)
 	}
 	if !f.Quiet && !f.JSONLog {
 		if tree := telemetry.DefaultTracer().TreeString(); tree != "" {
@@ -201,16 +188,16 @@ func (rt *Runtime) Close() error {
 		if err := rep.WriteFile(f.ReportPath); err != nil {
 			fail("writing run report failed", err, "path", f.ReportPath)
 		} else {
-			rt.Log.Info("run report written", "path", f.ReportPath)
+			slog.Info("run report written", "path", f.ReportPath)
 		}
 	}
-	rt.stopPerf()
+	telemetry.EnablePerfSampling(nil)
 	if f.PerfHistory != "" {
 		rec := perf.BuildRecord(rep, perf.GitRev())
 		if err := perf.Append(f.PerfHistory, rec); err != nil {
 			fail("appending perf history failed", err, "path", f.PerfHistory)
 		} else {
-			rt.Log.Info("perf history appended", "path", f.PerfHistory, "metrics", len(rec.Metrics))
+			slog.Info("perf history appended", "path", f.PerfHistory, "metrics", len(rec.Metrics))
 		}
 	}
 	if err := rt.closeJournal(); err != nil {
@@ -220,14 +207,6 @@ func (rt *Runtime) Close() error {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// stopPerf disarms the watchdog and turns perf sampling off.
-func (rt *Runtime) stopPerf() {
-	if rt.watchdog != nil {
-		rt.watchdog.Stop()
-	}
-	telemetry.EnablePerfSampling(nil)
 }
 
 // closeJournal deactivates the journal, then flushes and closes it.

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"time"
 
@@ -187,8 +188,6 @@ func (g *CLgen) SynthesizeWorkers(n int, opts model.SampleOpts, seed int64, work
 		maxAttempts = 400
 	}
 	draw := func(i int) synthAttempt {
-		done := telemetry.BeginWorkf("core.synthesize", "attempt-%05d", i)
-		defer done()
 		start := time.Now()
 		rng := rand.New(rand.NewSource(pool.DeriveSeed(seed, int64(i))))
 		k := g.Model.SampleKernel(rng, opts)
@@ -243,7 +242,7 @@ func (g *CLgen) SynthesizeWorkers(n int, opts model.SampleOpts, seed int64, work
 			return len(out) < n
 		})
 	span.SetAttr("accepted", stats.Accepted).SetAttr("attempts", stats.Attempts)
-	telemetry.Debug("synthesis finished", "requested", n, "accepted", stats.Accepted,
+	slog.Debug("synthesis finished", "requested", n, "accepted", stats.Accepted,
 		"attempts", stats.Attempts, "accept_rate", stats.AcceptRate())
 	if len(out) < n {
 		return out, stats, fmt.Errorf("core: synthesized only %d/%d kernels in %d attempts", len(out), n, stats.Attempts)

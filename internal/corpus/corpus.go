@@ -7,6 +7,7 @@ package corpus
 
 import (
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"time"
@@ -362,8 +363,6 @@ func BuildEx(files []github.ContentFile, opts BuildOpts) (*Corpus, error) {
 	var text strings.Builder
 
 	outcomes := pool.Map(opts.Workers, len(files), func(i int) fileOutcome {
-		done := telemetry.BeginWorkf("corpus.build", "%s/%s", files[i].Repo, files[i].Path)
-		defer done()
 		o, _ := processFileCached(files[i], opts.Static)
 		return o
 	})
@@ -441,7 +440,7 @@ func BuildEx(files []github.ContentFile, opts BuildOpts) (*Corpus, error) {
 		Add(int64(c.Stats.Kernels))
 	span.SetAttr("files", c.Stats.Files).SetAttr("accepted", c.Stats.AcceptedFiles).
 		SetAttr("kernels", c.Stats.Kernels)
-	telemetry.Debug("corpus built",
+	slog.Debug("corpus built",
 		"files", c.Stats.Files, "accepted", c.Stats.AcceptedFiles,
 		"kernels", c.Stats.Kernels, "discard_shim", c.Stats.DiscardRateShim,
 		"discard_noshim", c.Stats.DiscardRateNoShim)

@@ -13,7 +13,7 @@ import (
 func captureJournal(t *testing.T, fn func()) []journal.Event {
 	t.Helper()
 	var buf bytes.Buffer
-	w := journal.NewWriter(&buf, 0)
+	w := journal.NewWriter(&buf)
 	journal.SetActive(w)
 	defer journal.SetActive(nil)
 	fn()

@@ -104,6 +104,35 @@ var reuseKernels = []struct {
 }`, RunFailure},
 }
 
+// TestReseededRandDrawsFreshPayloads: check draws its payloads from a
+// pooled *rand.Rand re-seeded per payload. Payloads drawn that way, from
+// one generator used over and over, equal those drawn from fresh sources.
+func TestReseededRandDrawsFreshPayloads(t *testing.T) {
+	reused := rand.New(rand.NewSource(0))
+	for _, tc := range reuseKernels {
+		k, err := Load(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{8, 256} {
+			for _, seed := range []int64{3, 4} {
+				want, err := GeneratePayload(k, size, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				reused.Seed(seed)
+				got, err := GeneratePayload(k, size, reused)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Args, want.Args) {
+					t.Errorf("%s@%d seed %d: the re-seeded generator drew another payload", tc.name, size, seed)
+				}
+			}
+		}
+	}
+}
+
 // TestChecksStableUnderReuse checks every reuseKernels kernel at
 // three sizes, interleaved, twice over, calling check directly so that
 // each check executes. Every result must be DeepEqual to the kernel's
@@ -163,7 +192,10 @@ func TestChecksStableUnderReuse(t *testing.T) {
 // TestCheckRunsA2B2OnlyWhenUndecided: A1 and B1 decide a no-output or an
 // input-insensitive verdict, so its check executes those two payloads
 // only and its Steps are theirs. A useful-work check executes all four,
-// A2 and B2 repeating A1 and B1 step for step.
+// A2 and B2 repeating A1 and B1 step for step. The expected steps come
+// from payloads drawn from fresh sources at seed and seed+1, so the
+// kernel whose loop count is read from its input also pins the payloads
+// check draws from its pooled generator.
 func TestCheckRunsA2B2OnlyWhenUndecided(t *testing.T) {
 	runs := telemetry.Default().Counter("driver_kernel_runs_total", "")
 	for _, tc := range []struct {
@@ -174,6 +206,12 @@ func TestCheckRunsA2B2OnlyWhenUndecided(t *testing.T) {
 		{"no output", reuseKernels[5].src, NoOutput, 2},
 		{"input insensitive", reuseKernels[6].src, InputInsensitive, 2},
 		{"useful work", zipSrc, UsefulWork, 4},
+		{"input-dependent steps", `__kernel void A(__global int* a, __global int* b) {
+  int i = get_global_id(0);
+  int s = 0;
+  for (int j = 0; j < (a[i] & 15); j++) s += j;
+  b[i] = s + a[i];
+}`, UsefulWork, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, err := Load(tc.src)

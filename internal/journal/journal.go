@@ -8,10 +8,8 @@
 // full history, reproduce the paper's §4.1/§5.2 funnel tables, and diff
 // two runs for regression gating.
 //
-// Writes go through a buffered asynchronous writer that is safe under the
-// internal/pool worker fan-outs: Emit never blocks the pipeline — events
-// that cannot be buffered are dropped and counted in the
-// `journal_events_dropped_total` telemetry counter. Emission sites run
+// Writes go through a buffered writer that is safe under the
+// internal/pool worker fan-outs and writes every event. Emission sites run
 // either on the ordered aggregation goroutine (corpus, core, experiments)
 // or on worker goroutines (driver), so two journals of the same seeded run
 // at different worker counts may interleave differently on disk; they are
@@ -260,41 +258,32 @@ func ID(src string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// DefaultBuffer is the async writer's event buffer capacity. The pipeline
-// emits at most a few events per artifact, so overflow (and therefore
-// event drops) only occurs when the disk cannot keep up with sustained
-// multi-thousand-events-per-flush bursts.
-const DefaultBuffer = 1 << 16
-
-// Writer appends events to a JSONL stream through a buffered background
-// goroutine. Emit is non-blocking and safe for concurrent use from worker
-// goroutines; events that cannot be buffered are dropped and counted.
+// Writer appends events to a JSONL stream. Emit encodes each event into
+// a buffered writer under a mutex, on the caller's goroutine, so it is
+// safe for concurrent use from worker goroutines and every event emitted
+// before Close is written.
 type Writer struct {
-	mu     sync.RWMutex // guards closed vs. in-flight Emits
-	closed bool
-	ch     chan Event
-	done   chan struct{}
-	bw     *bufio.Writer
-	c      io.Closer // underlying file, nil for plain io.Writer sinks
-	now    func() time.Time
-	err    error // first encode error; written by the drain goroutine only
-	closeE error
+	mu      sync.Mutex
+	closed  bool
+	bw      *bufio.Writer
+	enc     *json.Encoder
+	c       io.Closer // underlying file, nil for plain io.Writer sinks
+	now     func() time.Time
+	written *telemetry.Counter
+	err     error // first encode error
+	closeE  error
 }
 
-// NewWriter starts a journal writer over w with the given event buffer
-// capacity (<= 0 means DefaultBuffer). Close flushes and stops it.
-func NewWriter(w io.Writer, buffer int) *Writer {
-	if buffer <= 0 {
-		buffer = DefaultBuffer
+// NewWriter returns a journal writer over w. Close flushes it.
+func NewWriter(w io.Writer) *Writer {
+	bw := bufio.NewWriter(w)
+	return &Writer{
+		bw:  bw,
+		enc: json.NewEncoder(bw),
+		now: time.Now,
+		written: telemetry.Default().Counter("journal_events_written_total",
+			"Provenance events written to the journal."),
 	}
-	jw := &Writer{
-		ch:   make(chan Event, buffer),
-		done: make(chan struct{}),
-		bw:   bufio.NewWriter(w),
-		now:  time.Now,
-	}
-	go jw.drain()
-	return jw
 }
 
 // Create opens (truncating) a journal file at path.
@@ -303,7 +292,7 @@ func Create(path string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	jw := NewWriter(f, 0)
+	jw := NewWriter(f)
 	jw.c = f
 	return jw, nil
 }
@@ -312,62 +301,35 @@ func Create(path string) (*Writer, error) {
 // first Emit.
 func (w *Writer) SetClock(now func() time.Time) { w.now = now }
 
-func (w *Writer) drain() {
-	defer close(w.done)
-	written := telemetry.Default().Counter("journal_events_written_total",
-		"Provenance events written to the journal.")
-	enc := json.NewEncoder(w.bw)
-	for e := range w.ch {
-		if err := enc.Encode(e); err != nil {
-			if w.err == nil {
-				w.err = fmt.Errorf("journal: encode: %w", err)
-			}
-			continue
-		}
-		written.Inc()
-	}
-}
-
-// Emit buffers one event, stamping its Time when unset. It never blocks:
-// when the buffer is full (or the writer is closed) the event is dropped
-// and `journal_events_dropped_total` is incremented.
+// Emit writes one event, stamping its Time when unset. After Close it
+// does nothing.
 func (w *Writer) Emit(e Event) {
 	if e.Time.IsZero() {
 		e.Time = w.now()
 	}
-	w.mu.RLock()
-	defer w.mu.RUnlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		dropped().Inc()
 		return
 	}
-	select {
-	case w.ch <- e:
-		if telemetry.Tapped() {
-			telemetry.Tap("journal", string(e.Stage)+" "+e.ID)
+	if err := w.enc.Encode(e); err != nil {
+		if w.err == nil {
+			w.err = fmt.Errorf("journal: encode: %w", err)
 		}
-	default:
-		dropped().Inc()
+		return
 	}
+	w.written.Inc()
 }
 
-func dropped() *telemetry.Counter {
-	return telemetry.Default().Counter("journal_events_dropped_total",
-		"Provenance events dropped because the journal buffer was full.")
-}
-
-// Close drains the buffer, flushes, and closes the underlying file. It is
-// idempotent; Emit calls after Close drop (and count) their events.
+// Close flushes the buffer and closes the underlying file. It is
+// idempotent.
 func (w *Writer) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return w.closeE
 	}
 	w.closed = true
-	close(w.ch)
-	w.mu.Unlock()
-	<-w.done
 	err := w.err
 	if ferr := w.bw.Flush(); err == nil && ferr != nil {
 		err = fmt.Errorf("journal: flush: %w", ferr)

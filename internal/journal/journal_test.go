@@ -2,11 +2,11 @@ package journal
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
-
-	"clgen/internal/telemetry"
 )
 
 // fakeClock returns a deterministic time source ticking one second per
@@ -19,14 +19,9 @@ func fakeClock() func() time.Time {
 	}
 }
 
-func droppedValue() int64 {
-	return telemetry.Default().Counter("journal_events_dropped_total",
-		"Provenance events dropped because the journal buffer was full.").Value()
-}
-
 func TestWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, 16)
+	w := NewWriter(&buf)
 	w.SetClock(fakeClock())
 	w.Emit(Event{ID: "aaaa", Stage: StageMined, Item: 3})
 	w.Emit(Event{ID: "aaaa", Stage: StageCorpusFilter, Reason: "parse error", DurMS: 1.5})
@@ -54,55 +49,58 @@ func TestWriterRoundTrip(t *testing.T) {
 	}
 }
 
-// blockingWriter blocks every Write until released, so tests can hold the
-// drain goroutine mid-write and fill the event buffer behind it.
-type blockingWriter struct {
-	release chan struct{}
+// slowWriter sleeps on every Write, a sink slower than the emitters.
+type slowWriter struct {
+	bytes.Buffer
 }
 
-func (b *blockingWriter) Write(p []byte) (int, error) {
-	<-b.release
-	return len(p), nil
+func (s *slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	return s.Buffer.Write(p)
 }
 
-func TestWriterDropsWhenFull(t *testing.T) {
-	bw := &blockingWriter{release: make(chan struct{})}
-	w := NewWriter(bw, 1)
-	// bufio only hits the underlying writer when its 4k buffer fills, so
-	// make each event large enough that the first flush blocks the drain.
-	big := strings.Repeat("x", 8192)
-	w.Emit(Event{ID: big, Stage: StageMined}) // consumed by drain, blocks in Write
-	// Poll until the drain goroutine has taken the first event off the
-	// channel, leaving exactly one buffer slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(w.ch) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("drain goroutine never picked up the first event")
-		}
-		time.Sleep(time.Millisecond)
+// TestWriterKeepsEveryEvent: 8 goroutines emit 1,000 events each into a
+// sink that sleeps on every write, and all 8,000 read back.
+func TestWriterKeepsEveryEvent(t *testing.T) {
+	const goroutines, each = 8, 1000
+	var sink slowWriter
+	w := NewWriter(&sink)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				w.Emit(Event{ID: fmt.Sprintf("g%d-%d", g, i), Stage: StageMined, Item: i})
+			}
+		}(g)
 	}
-	w.Emit(Event{ID: "fills-buffer", Stage: StageMined})
-	before := droppedValue()
-	w.Emit(Event{ID: "dropped", Stage: StageMined})
-	if got := droppedValue() - before; got != 1 {
-		t.Errorf("dropped counter delta = %d, want 1", got)
-	}
-	close(bw.release)
+	wg.Wait()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	events, err := Read(&sink.Buffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]bool{}
+	for _, e := range events {
+		ids[e.ID] = true
+	}
+	if len(events) != goroutines*each || len(ids) != goroutines*each {
+		t.Fatalf("read %d events with %d distinct IDs, want %d", len(events), len(ids), goroutines*each)
+	}
 }
 
-func TestEmitAfterCloseDropsAndCounts(t *testing.T) {
+func TestEmitAfterCloseIsNoop(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, 4)
+	w := NewWriter(&buf)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := droppedValue()
 	w.Emit(Event{ID: "late", Stage: StageMined}) // must not panic
-	if got := droppedValue() - before; got != 1 {
-		t.Errorf("dropped counter delta = %d, want 1", got)
+	if buf.Len() != 0 {
+		t.Errorf("an Emit after Close wrote %q", buf.String())
 	}
 	if err := w.Close(); err != nil { // idempotent
 		t.Fatal(err)
@@ -118,7 +116,7 @@ func TestGlobalEmitInactiveIsNoop(t *testing.T) {
 
 func TestSetActiveRoutesGlobalEmit(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, 4)
+	w := NewWriter(&buf)
 	SetActive(w)
 	defer SetActive(nil)
 	if !Enabled() {

@@ -41,7 +41,7 @@ func obs(bench string, cpu, gpu float64) *grewe.Observation {
 func capture(t *testing.T, fn func()) []journal.Event {
 	t.Helper()
 	var buf bytes.Buffer
-	w := journal.NewWriter(&buf, 0)
+	w := journal.NewWriter(&buf)
 	journal.SetActive(w)
 	defer journal.SetActive(nil)
 	fn()

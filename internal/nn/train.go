@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"time"
@@ -81,7 +82,6 @@ func (m *LSTM) Train(corpus []int, cfg TrainConfig) (float64, error) {
 	lr := cfg.LearnRate
 	var lastLoss float64
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-		epochDone := telemetry.BeginWorkf("nn.train", "epoch-%d", epoch)
 		epochStart := time.Now()
 		cpuStart, cpuOK := telemetry.SampleResources()
 		st := m.ZeroState()
@@ -120,7 +120,7 @@ func (m *LSTM) Train(corpus []int, cfg TrainConfig) (float64, error) {
 		clipGauge.Set(clipRate)
 		charsTotal.Add(int64(chars))
 		epochSeconds.Observe(elapsed.Seconds())
-		telemetry.Debug("nn: epoch complete",
+		slog.Debug("nn: epoch complete",
 			"epoch", epoch, "loss", lastLoss, "chars_per_sec", charsPerSec,
 			"clip_rate", clipRate, "lr", lr)
 		if cfg.Lineage != "" && journal.Enabled() {
@@ -146,7 +146,6 @@ func (m *LSTM) Train(corpus []int, cfg TrainConfig) (float64, error) {
 		if epoch%cfg.DecayEvery == 0 {
 			lr *= cfg.DecayFactor
 		}
-		epochDone()
 	}
 	span.SetAttr("final_loss", lastLoss)
 	return lastLoss, nil

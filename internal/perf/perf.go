@@ -1,17 +1,12 @@
 // Package perf is the resource-observability backend behind the
-// binaries' -perf, -stall-timeout, and -perf-history flags. It contributes
-// three capabilities on top of internal/telemetry:
+// binaries' -perf and -perf-history flags. It contributes two
+// capabilities on top of internal/telemetry:
 //
 //   - Per-stage resource accounting: Sample reads process CPU time
 //     (getrusage), heap allocations and GC pauses (runtime.ReadMemStats),
 //     and the goroutine count. Handed to telemetry.EnablePerfSampling,
 //     it lets every span attach cpu_s / alloc_bytes / gc_pause_s deltas
 //     and feed the perf_stage_* metrics.
-//   - Stall watchdog + flight recorder: a ring buffer of recent log,
-//     span, and journal events plus pool-progress heartbeats; when the
-//     pipeline stops advancing past a deadline (or on SIGQUIT), goroutine
-//     stacks, the ring, and the in-flight artifact IDs are dumped to a
-//     crash-report file.
 //   - Run history: the one JSONL history and median-baseline regression
 //     gate. A record is a machine stamp plus named metrics, each gated by
 //     its measure's Rule. -perf-history appends per-stage wall and CPU
@@ -19,8 +14,8 @@
 //     cltrace model does the same for evaluation accuracy and speedup
 //     (internal/mlobs).
 //
-// internal/cli applies the flags: it passes Sample to telemetry, starts
-// the watchdog and appends the history record on exit.
+// internal/cli applies the flags: it passes Sample to telemetry and
+// appends the history record on exit.
 package perf
 
 import (

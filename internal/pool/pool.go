@@ -82,7 +82,6 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 			busy.Add(1)
 			out[i] = fn(i)
 			busy.Add(-1)
-			telemetry.Advance("pool")
 		}
 		return out
 	}
@@ -100,7 +99,6 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 				busy.Add(1)
 				out[i] = fn(i)
 				busy.Add(-1)
-				telemetry.Advance("pool")
 			}
 		}()
 	}

@@ -1,24 +1,24 @@
 package telemetry
 
 import (
+	"log/slog"
 	"os"
 	"strings"
 	"sync"
 	"time"
 )
 
-// FaultSleepEnv is the fault-injection fixture behind the perf and stall
-// gate tests (TestPerfGate in gates_test.go): a comma-separated list of
+// FaultSleepEnv is the fault-injection fixture behind the perf gate test
+// (TestPerfGate in gates_test.go): a comma-separated list of
 // stage=duration pairs, e.g.
 //
 //	CLGEN_FAULT_SLEEP="core.synthesize=2s"
 //
-// The first in-flight artifact of a named stage sleeps for the given
-// duration (once per stage per process). That single mechanism exercises
-// both gates: with a stall watchdog armed the sleep trips the deadline
-// and produces a flight-recorder dump, and without one it inflates the
-// stage's wall time past clperf diff's regression threshold. Unset (the
-// normal case) the fixture costs one sync.Once and a nil-map check.
+// The first span of a named stage sleeps for the given duration when it
+// starts (once per stage per process), after its start time is taken, so
+// the sleep inflates the stage's wall time past clperf diff's regression
+// threshold. Unset (the normal case) the fixture costs one sync.Once and
+// a nil-map check per span.
 const FaultSleepEnv = "CLGEN_FAULT_SLEEP"
 
 var (
@@ -69,7 +69,7 @@ func faultSleep(stage string) {
 		return
 	}
 	faultFired[stage].Do(func() {
-		Warn("fault injection: sleeping", "stage", stage, "sleep", d)
+		slog.Warn("fault injection: sleeping", "stage", stage, "sleep", d)
 		time.Sleep(d)
 	})
 }

@@ -1,3 +1,15 @@
+// Package telemetry is the pipeline-wide observability layer: a
+// process-global metrics registry (counters, gauges, histograms with
+// Prometheus text exposition), lightweight span tracing that accumulates
+// a per-run stage tree, an opt-in HTTP server exposing /metrics, /vars,
+// /stages and net/http/pprof, and a machine-readable RunReport. Logs go
+// through the standard library's log/slog, whose default handler
+// internal/cli configures.
+//
+// The package is stdlib-only and imported by every pipeline layer (corpus
+// filtering, model training, sampling, the host driver, and the
+// experimental harness), so a full run's timings, counters, and failure
+// modes are observable in one place.
 package telemetry
 
 import (

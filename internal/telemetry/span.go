@@ -91,7 +91,6 @@ func (t *Tracer) start(name string, parent *Span, implicit bool) *Span {
 		res0 = &r
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if implicit && parent == nil {
 		parent = t.cur
 	}
@@ -104,6 +103,10 @@ func (t *Tracer) start(name string, parent *Span, implicit bool) *Span {
 	if implicit {
 		t.cur = s
 	}
+	t.mu.Unlock()
+	// After the start time is taken, so an injected sleep counts in the
+	// stage's wall time.
+	faultSleep(name)
 	return s
 }
 
@@ -117,6 +120,12 @@ func (s *Span) SetAttr(key string, value any) *Span {
 	defer s.tracer.mu.Unlock()
 	s.setAttrLocked(key, value)
 	return s
+}
+
+// kv is one span attribute.
+type kv struct {
+	k string
+	v any
 }
 
 // setAttrLocked upserts one attr; the caller holds the tracer lock.
@@ -188,9 +197,6 @@ func (s *Span) End() {
 				"GC stop-the-world pause time while the stage was open, in seconds.").Add(resGCPause)
 		}
 	}
-	if Tapped() {
-		Tap("span", fmt.Sprintf("%s %s", name, formatSeconds(dur.Seconds())))
-	}
 }
 
 // clampNonNeg floors small negative deltas (clock/rusage granularity) at 0.
@@ -241,6 +247,19 @@ func (t *Tracer) export(s *Span) StageNode {
 		n.Children = append(n.Children, t.export(c))
 	}
 	return n
+}
+
+// jsonValue renders the attr values encoding/json would not print
+// readably (durations, errors) as strings.
+func jsonValue(v any) any {
+	switch x := v.(type) {
+	case time.Duration:
+		return x.String()
+	case error:
+		return x.Error()
+	default:
+		return v
+	}
 }
 
 // Reset drops all recorded spans. Intended for tests and between runs.
