@@ -152,16 +152,31 @@ func BenchmarkCollisions(b *testing.B) {
 // (sample → rejection filter → accept).
 func BenchmarkSynthesis(b *testing.B) {
 	w := benchWorld(b)
-	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
+	reportAcceptRate(b, w.CLgen.Model, 1)
+}
+
+// rateDraws is the number of kernels a sampling benchmark draws per
+// iteration, from a generator seeded the same way each time, so that the
+// acceptance rate it reports is the same at every -benchtime, 1x included.
+const rateDraws = 100
+
+// reportAcceptRate runs b.N iterations of rateDraws samples of m, seeded
+// seed, through the rejection filter and reports the share accepted and
+// the time per sample.
+func reportAcceptRate(b *testing.B, m *model.Model, seed int64) {
 	accepted := 0
 	for i := 0; i < b.N; i++ {
-		k := w.CLgen.Model.SampleKernel(rng, model.SampleOpts{Seed: model.FreeSeed})
-		if corpus.FilterSample(k).OK {
-			accepted++
+		rng := rand.New(rand.NewSource(seed))
+		accepted = 0
+		for range rateDraws {
+			if corpus.FilterSample(m.SampleKernel(rng, model.SampleOpts{Seed: model.FreeSeed})).OK {
+				accepted++
+			}
 		}
 	}
-	b.ReportMetric(float64(accepted)/float64(b.N), "accepted/op")
+	b.ReportMetric(float64(accepted)/rateDraws*100, "accept%")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rateDraws), "ns/sample")
 }
 
 // --- ablation benches (DESIGN.md §5) ---
@@ -213,16 +228,8 @@ func BenchmarkAblationNGramOrder(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(2))
-			accepted := 0
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := m.SampleKernel(rng, model.SampleOpts{Seed: model.FreeSeed})
-				if corpus.FilterSample(k).OK {
-					accepted++
-				}
-			}
-			b.ReportMetric(float64(accepted)/float64(b.N)*100, "accept%")
+			reportAcceptRate(b, m, 2)
 		})
 	}
 }
@@ -418,16 +425,8 @@ func BenchmarkAblationRewriterModelQuality(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(7))
-			accepted := 0
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := m.SampleKernel(rng, model.SampleOpts{Seed: model.FreeSeed})
-				if corpus.FilterSample(k).OK {
-					accepted++
-				}
-			}
-			b.ReportMetric(float64(accepted)/float64(b.N)*100, "accept%")
+			reportAcceptRate(b, m, 7)
 		})
 	}
 }

@@ -117,9 +117,6 @@ func campaign(want map[string]bool, scale string, seed int64, kernels int, stati
 		cfg.Seed = seed
 	}
 	cfg.StaticChecks = static
-	// Progress goes through slog; -quiet already raised the log level, so
-	// the config hook stays active either way.
-	cfg.Quiet = false
 	w, err := experiments.BuildWorld(cfg)
 	if err != nil {
 		return err

@@ -344,6 +344,39 @@ func TestLintExitCodes(t *testing.T) {
 	}
 }
 
+// campaignOutput is the stdout of `clexp -scale test -run all`: every
+// table and figure of the test-scale campaign. It has no timings and is
+// the same at every -workers.
+const campaignOutput = "examples/clexp_test_output.txt"
+
+// TestCampaignOutput runs the test-scale campaign and compares its stdout
+// with campaignOutput byte for byte, so that a change that moves any table
+// or figure fails here. Regenerate with UPDATE_GOLDEN=1 only for a
+// deliberate change of results.
+func TestCampaignOutput(t *testing.T) {
+	got := run(t, 0, nil, "clexp", "-scale", "test", "-run", "all", "-quiet")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(campaignOutput, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(campaignOutput)
+	if err != nil {
+		t.Fatalf("read %s (run with UPDATE_GOLDEN=1 to regenerate): %v", campaignOutput, err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d of the campaign's stdout differs from %s:\n got %q\nwant %q", i+1, campaignOutput, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("the campaign's stdout has %d lines, %s %d", len(gl), campaignOutput, len(wl))
+}
+
 // TestUsageExitCodes: a usage error exits 1 before any work, and the
 // flags that select work are applied at every scale.
 func TestUsageExitCodes(t *testing.T) {

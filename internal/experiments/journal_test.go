@@ -21,7 +21,6 @@ func TestJournalFunnelMatchesTelemetry(t *testing.T) {
 		SynthKernels: 12,
 		PayloadSizes: []int{4096},
 		ExecCap:      2048,
-		Quiet:        true,
 	}
 	reg := telemetry.Default()
 	before := reg.Snapshot().Counters

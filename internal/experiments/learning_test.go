@@ -36,7 +36,6 @@ func TestLearningEventsDeterministicAcrossWorkers(t *testing.T) {
 		SynthKernels: 12,
 		PayloadSizes: []int{4096},
 		ExecCap:      2048,
-		Quiet:        true,
 	}
 	type run struct {
 		trained   []journal.Event

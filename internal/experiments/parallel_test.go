@@ -40,7 +40,6 @@ func TestBuildWorldDeterministicAcrossWorkers(t *testing.T) {
 		SynthKernels: 12,
 		PayloadSizes: []int{4096},
 		ExecCap:      2048,
-		Quiet:        true,
 	}
 	build := func(workers int) (*World, []journal.Event) {
 		c := cfg
@@ -88,7 +87,6 @@ func TestBuildWorldStaticDeterministicAcrossWorkers(t *testing.T) {
 		SynthKernels: 12,
 		PayloadSizes: []int{4096},
 		ExecCap:      2048,
-		Quiet:        true,
 		StaticChecks: true,
 	}
 	build := func(workers int) (*World, []journal.Event) {

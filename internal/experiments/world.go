@@ -45,10 +45,8 @@ type Config struct {
 	// campaign: corpus files and samples run the analyzer-backed rejection
 	// filter. The dynamic checker executes every kernel the filter accepts.
 	StaticChecks bool
-	// Quiet suppresses progress logging.
-	Quiet bool
-	// Log receives progress lines when not quiet (default: slog.Info of
-	// the formatted line).
+	// Log receives progress lines (default: slog.Info of the formatted
+	// line, which the slog level, -quiet in the binaries, may drop).
 	Log func(format string, args ...any)
 }
 
@@ -65,10 +63,7 @@ func (c *Config) defaults() {
 	if len(c.PayloadSizes) == 0 {
 		c.PayloadSizes = []int{2048, 16384, 131072, 1 << 20}
 	}
-	switch {
-	case c.Quiet:
-		c.Log = func(string, ...any) {}
-	case c.Log == nil:
+	if c.Log == nil {
 		c.Log = func(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) }
 	}
 }
@@ -81,7 +76,6 @@ func TestConfig() Config {
 		SynthKernels: 60,
 		PayloadSizes: []int{4096, 262144},
 		ExecCap:      2048,
-		Quiet:        true,
 	}
 }
 

@@ -185,9 +185,38 @@ const vectorSrc = `__kernel void A(__global float4* a, __global float4* b, const
 
 // BenchmarkVectorLaunch runs the float4 stencil over 4096 work-items and
 // reports the interpreter's cost per work-item.
-func BenchmarkVectorLaunch(b *testing.B) {
+func BenchmarkVectorLaunch(b *testing.B) { benchVectorLaunch(b, vectorSrc) }
+
+// BenchmarkVectorBuiltins runs the campaign's float4 builtins over 4096
+// work-items: kernel 36's sin and cos of a load, and kernel 16's dot of a
+// vector variable with itself, then a vector times that scalar.
+func BenchmarkVectorBuiltins(b *testing.B) {
+	b.Run("sincos", func(b *testing.B) {
+		benchVectorLaunch(b, `__kernel void A(__global float4* a, __global float4* b, const int c) {
+  uint d = get_global_id(0);
+  if (d < c) {
+    b[d] = sin(a[d]) + cos(a[d]);
+  }
+}`)
+	})
+	b.Run("dot", func(b *testing.B) {
+		benchVectorLaunch(b, `__kernel void A(__global float4* a, __global float4* b, const int c) {
+  uint d = get_global_id(0);
+  if (d < c) {
+    float4 e = a[d];
+    float f = dot(e, e);
+    b[d] = e * f;
+  }
+}`)
+	})
+}
+
+// benchVectorLaunch runs src's kernel A(float4* a, float4* b, int c) over
+// 4096 work-items and reports the cost per work-item and the allocations
+// per launch.
+func benchVectorLaunch(b *testing.B, src string) {
 	const n = 4096
-	env := benchEnv(b, vectorSrc)
+	env := benchEnv(b, src)
 	f4 := &clc.VectorType{Elem: clc.Float, Len: 4}
 	a := NewBuffer(clc.Float, 4*n, clc.Global)
 	for i := range a.F {

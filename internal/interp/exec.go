@@ -109,9 +109,13 @@ type wiCtx struct {
 	vals   []Value  // evaluated call arguments
 	retVal Value
 	depth  int
-	// arena holds the lanes of the vectors the work-item builds; nil on
-	// the lockstep paths, whose work-items build them on the heap.
+	// arena holds the lanes of the Value-path vectors the work-item
+	// builds; nil on the lockstep paths, whose work-items build them on the
+	// heap.
 	arena *arena
+	// tmp is the stack of the statically kinded vectors' temporaries
+	// (kinds.go), empty between expressions.
+	tmp []lane
 }
 
 const maxCallDepth = 64
@@ -124,7 +128,7 @@ func (c *wiCtx) forget() {
 		clear(fr[:cap(fr)])
 	}
 	clear(c.vals[:cap(c.vals)])
-	c.vals, c.frame, c.depth, c.resuming = c.vals[:0], nil, 0, false
+	c.vals, c.frame, c.depth, c.resuming, c.tmp = c.vals[:0], nil, 0, false, c.tmp[:0]
 	c.prof, c.locals, c.retVal = nil, nil, Value{}
 }
 
@@ -304,8 +308,8 @@ type compiler struct {
 	nslots    int
 	uncertain map[clc.Node]map[string]bool // per scope node, names with cells
 	// vars and ptrs are the function's statically kinded variables and
-	// pointer parameters (their pointee kind), found by inferKinds.
-	vars, ptrs map[string]clc.ScalarKind
+	// pointer parameters (their pointee's shape), found by inferKinds.
+	vars, ptrs map[string]shape
 	parks      map[clc.Stmt]bool // the statements to compile park-aware
 }
 
@@ -640,11 +644,22 @@ func (cp *compiler) stmtBody(s clc.Stmt) execFn {
 	return result(ctrlNone, fmt.Errorf("interp: unsupported statement %T", s))
 }
 
-// effect compiles e evaluated for its side effects alone.
+// effect compiles e evaluated for its side effects alone; a static
+// vector's lanes go to temporaries.
 func (cp *compiler) effect(e clc.Expr) evalFn {
-	if s, ok := cp.scalar(e); ok {
+	s, ok := cp.static(e)
+	switch {
+	case ok && s.width == 1:
 		return func(c *wiCtx) (Value, error) {
 			_, err := s.eval(c)
+			return Value{}, err
+		}
+	case ok:
+		ev, w := s.lanes, s.width
+		return func(c *wiCtx) (Value, error) {
+			n := len(c.tmp)
+			err := ev(c, c.take(w))
+			c.tmp = c.tmp[:n]
 			return Value{}, err
 		}
 	}
@@ -804,6 +819,9 @@ func (cp *compiler) decl(d *clc.VarDecl) func(*wiCtx) error {
 			}
 		}
 	}
+	if sh := cp.vars[d.Name]; sh.width > 1 {
+		return cp.vectorDecl(d, sh)
+	}
 	at, isArr := d.Type.(*clc.ArrayType)
 	if !isArr {
 		var init evalFn
@@ -859,6 +877,42 @@ func (cp *compiler) decl(d *clc.VarDecl) func(*wiCtx) error {
 		}
 		c.declare(idx, cell, slot{buf: buf, ptr: &Pointer{Buf: buf, Elem: at.Elem}})
 		return nil
+	}
+}
+
+// vectorDecl compiles the declaration of a statically kinded vector
+// variable, whose lane l lives in the slot l past its first: its
+// initializer, static by inferKinds, is converted or splat to its kind, and
+// no initializer is zero.
+func (cp *compiler) vectorDecl(d *clc.VarDecl, sh shape) func(*wiCtx) error {
+	var init lanesFn
+	from, sw := sh.kind, sh.width
+	if d.Init != nil {
+		s, _ := cp.static(d.Init)
+		init, from, sw = s.into(), s.kind, s.width
+	}
+	stride := min(sw-1, 1) // 0 splats a scalar
+	idx, _ := cp.bind(d.Name)
+	cp.nslots += sh.width - 1
+	return func(c *wiCtx) error {
+		fr := c.frame[idx : idx+sh.width]
+		if init == nil {
+			for l := range fr {
+				fr[l].val.i, fr[l].val.f = 0, 0
+			}
+			return nil
+		}
+		n := len(c.tmp)
+		t := c.take(sw)
+		err := init(c, t)
+		if err == nil {
+			for l := range fr {
+				v := convertTo(t[l*stride], from, sh.kind)
+				fr[l].val.i, fr[l].val.f = v.i, v.f
+			}
+		}
+		c.tmp = c.tmp[:n]
+		return err
 	}
 }
 
@@ -1188,15 +1242,15 @@ func literal(e clc.Expr) (Value, bool) {
 
 // expr compiles an expression; evaluating it spends one unit of budget
 // before anything else. A statically kinded expression other than a
-// literal or variable is compiled by scalar and boxed.
+// literal or scalar variable is compiled by static and boxed.
 func (cp *compiler) expr(e clc.Expr) evalFn {
 	if v, ok := literal(e); ok {
 		return constExpr(v)
 	}
-	if x, ok := e.(*clc.Ident); ok {
+	if x, ok := e.(*clc.Ident); ok && cp.vars[x.Name].width <= 1 {
 		return cp.ident(x)
 	}
-	if s, ok := cp.scalar(e); ok {
+	if s, ok := cp.static(e); ok {
 		return s.value()
 	}
 	switch x := e.(type) {

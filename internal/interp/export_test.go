@@ -25,5 +25,15 @@ func NewGoroutineEnv(f *clc.File) (*Env, error) { return newEnv(f, false) }
 // returning.
 func (env *Env) Parks(name string) bool { return env.funcs[name].parks != nil }
 
+// Guarded lists, by index, the parameters of function name whose kinds its
+// typed body assumes: the parameters its entry guards check.
+func (env *Env) Guarded(name string) []int {
+	var out []int
+	for _, g := range env.funcs[name].guards {
+		out = append(out, g.arg)
+	}
+	return out
+}
+
 // ArenaLanes is the capacity of a work-item's lane arena.
 const ArenaLanes = arenaLanes

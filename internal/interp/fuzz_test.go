@@ -25,7 +25,7 @@ const fuzzSteps = 1 << 14
 const (
 	argsDeclared   = iota
 	argsPtrScalars // every scalar parameter passed a pointer
-	argsOtherElem  // every pointer to a scalar claims the other kind (int, float)
+	argsOtherElem  // every pointer claims the other element kind (int, float)
 	argsOtherBuf   // every buffer holds the other kind under the declared pointee
 	argVariants
 )
@@ -47,7 +47,7 @@ func FuzzRun(f *testing.F) {
 	for _, b := range suites.All() {
 		f.Add(b.Src, uint8(argsDeclared))
 	}
-	for _, path := range []string{"interp_test.go", "park_test.go", "bound_test.go", "arena_test.go"} {
+	for _, path := range []string{"interp_test.go", "park_test.go", "bound_test.go", "arena_test.go", "vector_test.go"} {
 		for _, src := range fixtureKernels(f, path) {
 			for v := range uint8(argVariants) {
 				f.Add(src, v)
@@ -155,6 +155,9 @@ func fuzzArgs(fd *clc.FuncDecl, variant uint8) ([]interp.Value, bool) {
 				}
 			case *clc.VectorType:
 				kind, per = e.Elem, e.Len
+				if variant == argsOtherElem {
+					elem = &clc.VectorType{Elem: otherKind(kind), Len: e.Len}
+				}
 			default:
 				return nil, false
 			}
