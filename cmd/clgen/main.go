@@ -63,6 +63,9 @@ func main() {
 	if *mode == "train" && *modelF == "" {
 		fatal(errors.New("-mode train needs -model FILE"))
 	}
+	if *mode == "sample" && *n < 1 {
+		fatal(fmt.Errorf("-mode sample needs -n of at least 1, got %d", *n))
+	}
 	rt, err := tf.Start("clgen")
 	if err != nil {
 		fatal(err)

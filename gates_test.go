@@ -420,6 +420,15 @@ func TestUsageExitCodes(t *testing.T) {
 		run(t, 1, nil, "clgen", "-mode", "train", "-repos", "15", "-quiet", "-perf-history", hist)
 		noFile(t, hist)
 	})
+	t.Run("clgen-n", func(t *testing.T) {
+		for _, n := range []string{"0", "-1"} {
+			hist := filepath.Join(t.TempDir(), "hist.jsonl")
+			if out := run(t, 1, nil, "clgen", "-mode", "sample", "-n", n, "-repos", "15", "-quiet", "-perf-history", hist); len(out) != 0 {
+				t.Errorf("clgen -mode sample -n %s printed:\n%s", n, out)
+			}
+			noFile(t, hist)
+		}
+	})
 	t.Run("cldrive-size", func(t *testing.T) {
 		dir := t.TempDir()
 		kernel, path := filepath.Join(dir, "k.cl"), filepath.Join(dir, "run.jsonl")

@@ -187,6 +187,9 @@ func (g *CLgen) SynthesizeWorkers(n int, opts model.SampleOpts, seed int64, work
 	if maxAttempts < 400 {
 		maxAttempts = 400
 	}
+	if n <= 0 {
+		maxAttempts = 0 // nothing requested: draw nothing
+	}
 	draw := func(i int) synthAttempt {
 		start := time.Now()
 		rng := rand.New(rand.NewSource(pool.DeriveSeed(seed, int64(i))))

@@ -60,6 +60,19 @@ func TestSynthesizeMeetsRequest(t *testing.T) {
 	}
 }
 
+// TestSynthesizeNothingRequested: a request for no kernels, or fewer,
+// returns none, draws no sample and is no shortfall.
+func TestSynthesizeNothingRequested(t *testing.T) {
+	g := build(t)
+	for _, n := range []int{0, -1} {
+		kernels, stats, err := g.SynthesizeWorkers(n, model.SampleOpts{Seed: model.FreeSeed}, 3, 2)
+		if err != nil || len(kernels) != 0 || stats.Attempts != 0 || stats.Accepted != 0 {
+			t.Errorf("n=%d: %d kernels, %d attempts, %d accepted, err %v; want none and no error",
+				n, len(kernels), stats.Attempts, stats.Accepted, err)
+		}
+	}
+}
+
 func TestSynthesizeDeterministic(t *testing.T) {
 	g := build(t)
 	k1, _, err := g.Synthesize(5, model.SampleOpts{Seed: model.FreeSeed}, 9)

@@ -161,12 +161,18 @@ func (c *wiCtx) countMem(space clc.AddrSpace, width int, store bool) {
 	}
 }
 
-func (c *wiCtx) countArith(kind clc.ScalarKind, width int) {
-	if kind.IsFloat() {
-		c.prof.FloatOps += int64(max(width, 1))
+// count counts n arithmetic operations of a kind the compiler fixed: under
+// FloatOps if float, else under IntOps.
+func (c *wiCtx) count(float bool, n int64) {
+	if float {
+		c.prof.FloatOps += n
 	} else {
-		c.prof.IntOps += int64(max(width, 1))
+		c.prof.IntOps += n
 	}
+}
+
+func (c *wiCtx) countArith(kind clc.ScalarKind, width int) {
+	c.count(kind.IsFloat(), int64(max(width, 1)))
 }
 
 // function is a compiled function: its body runs in a frame of nslots
@@ -519,8 +525,19 @@ func (cp *compiler) block(b *clc.BlockStmt) execFn {
 }
 
 // stmt compiles one statement; running it spends one unit of budget
-// before anything else.
+// before anything else. An expression statement that does not park spends
+// it in its own closure.
 func (cp *compiler) stmt(s clc.Stmt) execFn {
+	if x, ok := s.(*clc.ExprStmt); ok && !cp.parks[x] {
+		e := cp.effect(x.X)
+		return func(c *wiCtx) (ctrl, error) {
+			if err := c.step(); err != nil {
+				return ctrlNone, err
+			}
+			_, err := e(c)
+			return ctrlNone, err
+		}
+	}
 	run := cp.stmtBody(s)
 	if cp.parks[s] {
 		return func(c *wiCtx) (ctrl, error) {
@@ -567,25 +584,20 @@ func (cp *compiler) stmtBody(s clc.Stmt) execFn {
 			return ctrlNone, nil
 		}
 	case *clc.ExprStmt:
+		// A barrier, as stmt compiles every other expression statement:
+		// park once it has counted, go on when resumed. A work-item
+		// goroutine, running this kernel as another's callee, has waited in
+		// the barrier call instead.
 		e := cp.effect(x.X)
-		if cp.parks[x] {
-			// A barrier: park once it has counted, go on when resumed. A
-			// work-item goroutine, running this kernel as another's callee,
-			// has waited in the barrier call instead.
-			return func(c *wiCtx) (ctrl, error) {
-				if c.resuming {
-					c.resuming = false
-					return ctrlNone, nil
-				}
-				if _, err := e(c); err != nil || c.yield != nil {
-					return ctrlNone, err
-				}
-				return ctrlBarrier, nil
-			}
-		}
 		return func(c *wiCtx) (ctrl, error) {
-			_, err := e(c)
-			return ctrlNone, err
+			if c.resuming {
+				c.resuming = false
+				return ctrlNone, nil
+			}
+			if _, err := e(c); err != nil || c.yield != nil {
+				return ctrlNone, err
+			}
+			return ctrlBarrier, nil
 		}
 	case *clc.IfStmt:
 		cond, then := cp.cond(x.Cond), cp.stmt(x.Then)
@@ -644,26 +656,27 @@ func (cp *compiler) stmtBody(s clc.Stmt) execFn {
 	return result(ctrlNone, fmt.Errorf("interp: unsupported statement %T", s))
 }
 
-// effect compiles e evaluated for its side effects alone; a static
-// vector's lanes go to temporaries.
-func (cp *compiler) effect(e clc.Expr) evalFn {
+// effect compiles e evaluated for its side effects alone: a static
+// scalar's closure itself, a static vector's lanes to temporaries.
+func (cp *compiler) effect(e clc.Expr) laneFn {
 	s, ok := cp.static(e)
 	switch {
 	case ok && s.width == 1:
-		return func(c *wiCtx) (Value, error) {
-			_, err := s.eval(c)
-			return Value{}, err
-		}
+		return s.eval
 	case ok:
 		ev, w := s.lanes, s.width
-		return func(c *wiCtx) (Value, error) {
+		return func(c *wiCtx) (lane, error) {
 			n := len(c.tmp)
 			err := ev(c, c.take(w))
 			c.tmp = c.tmp[:n]
-			return Value{}, err
+			return lane{}, err
 		}
 	}
-	return cp.expr(e)
+	ev := cp.expr(e)
+	return func(c *wiCtx) (lane, error) {
+		_, err := ev(c)
+		return lane{}, err
+	}
 }
 
 // condFn evaluates a condition as Value.Bool tests it.
@@ -684,7 +697,7 @@ func (cp *compiler) forStmt(x *clc.ForStmt) execFn {
 	defer cp.pop()
 	var init execFn
 	var cond condFn
-	var post evalFn
+	var post laneFn
 	if x.Init != nil {
 		init = cp.stmt(x.Init)
 	}
@@ -702,7 +715,7 @@ func (cp *compiler) forStmt(x *clc.ForStmt) execFn {
 // (after the body for do-while), the body and post. A nil test is true.
 // A work-item resuming into the body skips init and the resumed
 // iteration's unit and leading test.
-func loop(init execFn, cond condFn, body execFn, post evalFn, bodyFirst bool) execFn {
+func loop(init execFn, cond condFn, body execFn, post laneFn, bodyFirst bool) execFn {
 	return func(c *wiCtx) (ctrl, error) {
 		resumed := c.resuming
 		if init != nil && !resumed {
@@ -806,6 +819,9 @@ func (cp *compiler) switchStmt(x *clc.SwitchStmt) execFn {
 // decl compiles a variable declaration. The initializer sees the scope
 // as it was before the declaration.
 func (cp *compiler) decl(d *clc.VarDecl) func(*wiCtx) error {
+	if sh, ok := cp.vars[d.Name]; ok {
+		return cp.staticDecl(d, sh)
+	}
 	if st, ok := d.Type.(*clc.ScalarType); ok && staticKind(st.Kind) {
 		if s, ok := cp.scalar(d.Init); ok {
 			init := s.convert(st.Kind)
@@ -818,9 +834,6 @@ func (cp *compiler) decl(d *clc.VarDecl) func(*wiCtx) error {
 				return err
 			}
 		}
-	}
-	if sh := cp.vars[d.Name]; sh.width > 1 {
-		return cp.vectorDecl(d, sh)
 	}
 	at, isArr := d.Type.(*clc.ArrayType)
 	if !isArr {
@@ -880,20 +893,42 @@ func (cp *compiler) decl(d *clc.VarDecl) func(*wiCtx) error {
 	}
 }
 
-// vectorDecl compiles the declaration of a statically kinded vector
-// variable, whose lane l lives in the slot l past its first: its
-// initializer, static by inferKinds, is converted or splat to its kind, and
-// no initializer is zero.
-func (cp *compiler) vectorDecl(d *clc.VarDecl, sh shape) func(*wiCtx) error {
+// staticDecl compiles the declaration of a statically kinded variable,
+// whose lane l lives in the slot l past its first: its initializer, static
+// by inferKinds, is converted or splat to its kind, and no initializer is
+// zero.
+func (cp *compiler) staticDecl(d *clc.VarDecl, sh shape) func(*wiCtx) error {
+	var s staticFn
+	if d.Init != nil {
+		s, _ = cp.static(d.Init)
+	}
+	idx, _ := cp.bind(d.Name)
+	cp.nslots += sh.width - 1
+	if sh.width == 1 {
+		if d.Init == nil {
+			return func(c *wiCtx) error {
+				v := &c.frame[idx].val
+				v.i, v.f = 0, 0
+				return nil
+			}
+		}
+		init, from := s.eval, s.kind
+		return func(c *wiCtx) error {
+			l, err := init(c)
+			if err == nil {
+				r := convertTo(l, from, sh.kind)
+				v := &c.frame[idx].val
+				v.i, v.f = r.i, r.f
+			}
+			return err
+		}
+	}
 	var init lanesFn
 	from, sw := sh.kind, sh.width
 	if d.Init != nil {
-		s, _ := cp.static(d.Init)
 		init, from, sw = s.into(), s.kind, s.width
 	}
 	stride := min(sw-1, 1) // 0 splats a scalar
-	idx, _ := cp.bind(d.Name)
-	cp.nslots += sh.width - 1
 	return func(c *wiCtx) error {
 		fr := c.frame[idx : idx+sh.width]
 		if init == nil {
@@ -1242,13 +1277,15 @@ func literal(e clc.Expr) (Value, bool) {
 
 // expr compiles an expression; evaluating it spends one unit of budget
 // before anything else. A statically kinded expression other than a
-// literal or scalar variable is compiled by static and boxed.
+// literal is compiled by static and boxed.
 func (cp *compiler) expr(e clc.Expr) evalFn {
 	if v, ok := literal(e); ok {
 		return constExpr(v)
 	}
-	if x, ok := e.(*clc.Ident); ok && cp.vars[x.Name].width <= 1 {
-		return cp.ident(x)
+	if x, ok := e.(*clc.Ident); ok {
+		if _, static := cp.vars[x.Name]; !static {
+			return cp.ident(x)
+		}
 	}
 	if s, ok := cp.static(e); ok {
 		return s.value()

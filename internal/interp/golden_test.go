@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"clgen/internal/clc"
@@ -69,8 +70,10 @@ type bufRecord struct {
 // benchmark × dataset at a small exec cap, every filter-accepted
 // seed-corpus kernel and the campaign's synthetic kernels, each run once,
 // must reproduce the recorded output buffers, MaxSlot, full Profile
-// (Steps included) and error text, class and fault. Regenerate with
-// UPDATE_GOLDEN=1 only for a deliberate change of behaviour.
+// (Steps included) and error text, class and fault. Each launch also runs
+// on the plain body (NewUntypedEnv), on fresh copies of its arguments, and
+// must reproduce the same record. Regenerate with UPDATE_GOLDEN=1 only for
+// a deliberate change of behaviour.
 func TestRunGolden(t *testing.T) {
 	runs := goldenRuns(t)
 	// Runs sharing an Env (kernels of one file) go in order on one worker:
@@ -82,15 +85,31 @@ func TestRunGolden(t *testing.T) {
 		}
 		batches[len(batches)-1] = append(batches[len(batches)-1], r)
 	}
-	var got []runRecord
-	for _, recs := range pool.Map(2, len(batches), func(i int) []runRecord {
-		out := make([]runRecord, len(batches[i]))
-		for j, r := range batches[i] {
-			out[j] = record(r)
+	// The plain body's runs: the same batches on untyped Envs, on copies of
+	// the arguments made before any launch writes them.
+	plainRuns := make([][]goldenRun, len(batches))
+	for i, batch := range batches {
+		env, err := interp.NewUntypedEnv(batch[0].env.File)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
+		for _, r := range batch {
+			r.env, r.args = env, cloneArgs(r.args)
+			plainRuns[i] = append(plainRuns[i], r)
+		}
+	}
+	var got, plain []runRecord
+	for _, recs := range pool.Map(2, len(batches), func(i int) [2][]runRecord {
+		typed, untyped := make([]runRecord, len(batches[i])), make([]runRecord, len(batches[i]))
+		for j, r := range batches[i] {
+			typed[j] = record(r)
+		}
+		for j, r := range plainRuns[i] {
+			untyped[j] = record(r)
+		}
+		return [2][]runRecord{typed, untyped}
 	}) {
-		got = append(got, recs...)
+		got, plain = append(got, recs[0]...), append(plain, recs[1]...)
 	}
 
 	if os.Getenv("UPDATE_GOLDEN") != "" {
@@ -119,8 +138,30 @@ func TestRunGolden(t *testing.T) {
 		for _, d := range diffRecords(got[i], want[i]) {
 			t.Errorf("%s: %s", want[i].ID, d)
 		}
+		for _, d := range diffRecords(plain[i], want[i]) {
+			t.Errorf("%s on the plain body: %s", want[i].ID, d)
+		}
 	}
-	t.Logf("%d runs compared", len(got))
+	t.Logf("%d runs compared, on the typed and the plain body", len(got))
+}
+
+// cloneArgs copies args' buffers, each once, so that arguments sharing a
+// buffer share its copy.
+func cloneArgs(args []interp.Value) []interp.Value {
+	out := slices.Clone(args)
+	clones := map[*interp.Buffer]*interp.Buffer{}
+	for i, a := range args {
+		if !a.IsPointer() {
+			continue
+		}
+		b, ok := clones[a.Ptr.Buf]
+		if !ok {
+			b = a.Ptr.Buf.Clone()
+			clones[a.Ptr.Buf] = b
+		}
+		out[i] = interp.PtrValue(&interp.Pointer{Buf: b, Off: a.Ptr.Off, Elem: a.Ptr.Elem})
+	}
+	return out
 }
 
 // TestGoldenBarrierLaunchesPark requires every golden launch that counted
@@ -271,7 +312,7 @@ func goldenRuns(t *testing.T) []goldenRun {
 			t.Fatal(err)
 		}
 		for _, ds := range b.Datasets {
-			runs = append(runs, suiteRun(t, b, k, ds))
+			runs = append(runs, suiteRun(t, b, k, ds, goldenSize))
 		}
 	}
 	for i, cf := range github.Mine(github.MinerConfig{Seed: 1, Repos: 60, FilesPerRepo: 8}) {
@@ -324,11 +365,11 @@ func payloadRun(id string, k *driver.Kernel) (goldenRun, bool) {
 	}}, true
 }
 
-// suiteRun plans one suite dataset at the golden's exec cap, building its
-// arguments the way suites.Benchmark.Measure does.
-func suiteRun(t *testing.T, b *suites.Benchmark, k *driver.Kernel, ds suites.Dataset) goldenRun {
+// suiteRun plans one suite dataset at exec cap execCap, building its
+// arguments the way suites.Benchmark.Measure does, for the golden's budget.
+func suiteRun(t testing.TB, b *suites.Benchmark, k *driver.Kernel, ds suites.Dataset, execCap int) goldenRun {
 	t.Helper()
-	launch := b.Plan(min(ds.N, goldenSize))
+	launch := b.Plan(min(ds.N, execCap))
 	if launch.LocalSize <= 0 {
 		launch.LocalSize = 64
 	}
@@ -378,4 +419,48 @@ func suiteRun(t *testing.T, b *suites.Benchmark, k *driver.Kernel, ds suites.Dat
 			LocalSize:  [3]int{launch.LocalSize, 1, 1},
 			MaxSteps:   goldenSteps,
 		}}
+}
+
+// BenchmarkSuiteLaunches executes the launches of all 160 suite jobs, each
+// at its dataset size capped at 2,048 as suites.Benchmark.Measure plans it
+// (the cap perfbench's table1 workload sets), on the default budget, and
+// reports the interpreter's cost per work-item. Every iteration builds
+// fresh arguments with the timer stopped.
+func BenchmarkSuiteLaunches(b *testing.B) {
+	const execCap = 2048
+	type job struct {
+		bench *suites.Benchmark
+		k     *driver.Kernel
+		ds    suites.Dataset
+	}
+	var jobs []job
+	for _, bench := range suites.All() {
+		k, err := bench.Load()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ds := range bench.Datasets {
+			jobs = append(jobs, job{bench, k, ds})
+		}
+	}
+	runs := make([]goldenRun, len(jobs))
+	var items int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, jb := range jobs {
+			runs[j] = suiteRun(b, jb.bench, jb.k, jb.ds, execCap)
+			runs[j].cfg.MaxSteps = 0
+		}
+		b.StartTimer()
+		for _, r := range runs {
+			prof, err := r.env.Run(r.name, r.args, r.cfg)
+			if err != nil {
+				b.Fatalf("%s: %v", r.id, err)
+			}
+			items += prof.WorkItems
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(items), "ns/workitem")
 }

@@ -11,13 +11,16 @@ import (
 // Static kinds (DESIGN.md §7). An expression whose run-time kind and width
 // the interpreter's own rules fix compiles into a staticFn: a scalar into a
 // laneFn, which returns its lane unboxed, a vector into a lanesFn, which
-// writes its lanes unboxed, with its operator, conversion, splat and Profile
-// counter chosen at compile time. Either spends its budget unit, touches
-// memory and counts exactly where the Value closure it replaces does.
+// writes its lanes unboxed, with its operator (laneOp, relOp), conversion,
+// splat and Profile counter chosen at compile time. Either spends its budget
+// unit, touches memory and counts exactly where the Value closure it
+// replaces does.
 //
 // A static lane holds only the view of its kind: i for integers, f for
 // floats. Every Value-path operation of the fragment derives the other view
-// from that one, so boxing derives it too (boxLane).
+// from that one, so boxing derives it too (boxLane). A statically kinded
+// variable's slots hold its lanes the same way, and only the Value path
+// boxes them, when it reads the variable (staticFn.value).
 
 // laneFn evaluates a scalar expression of a kind fixed at compile time.
 type laneFn func(c *wiCtx) (lane, error)
@@ -44,15 +47,27 @@ func shapeOf(t clc.Type) (shape, bool) {
 }
 
 // staticFn is a compiled expression and its shape: a scalar evaluated by
-// eval, or a vector evaluated by lanes.
+// eval, or a vector evaluated by lanes. A comparison or logical operator
+// also has test, which a condition runs instead of eval.
 type staticFn struct {
 	shape
 	eval  laneFn
 	lanes lanesFn
+	test  condFn
 }
 
 func scalarOf(k clc.ScalarKind, eval laneFn) staticFn {
 	return staticFn{shape: shape{k, 1}, eval: eval}
+}
+
+// condOf is the int, 1 or 0, of a condition that test evaluates.
+func condOf(test condFn) staticFn {
+	s := scalarOf(clc.Int, func(c *wiCtx) (lane, error) {
+		ok, err := test(c)
+		return lane{i: boolToInt(ok)}, err
+	})
+	s.test = test
+	return s
 }
 
 func vectorOf(sh shape, lanes lanesFn) staticFn { return staticFn{shape: sh, lanes: lanes} }
@@ -340,8 +355,8 @@ func (cp *compiler) kinded(e clc.Expr) (staticFn, bool) {
 	return scalarOf(v.Kind, func(c *wiCtx) (lane, error) { return l, c.step() }), true
 }
 
-// variable compiles a read of a statically kinded variable: a scalar's
-// slot holds its boxed value, a vector's lane l the slot l past its first.
+// variable compiles a read of a statically kinded variable, whose lane l
+// is the slot l past its first.
 func (cp *compiler) variable(x *clc.Ident) (staticFn, bool) {
 	sh, ok := cp.vars[x.Name]
 	if !ok {
@@ -375,30 +390,15 @@ func (cp *compiler) variable(x *clc.Ident) (staticFn, bool) {
 	}), true
 }
 
-// operands evaluates a binary node's operands in order, after its unit of
-// budget.
-func (c *wiCtx) operands(a, b laneFn) (lane, lane, error) {
-	if err := c.step(); err != nil {
-		return lane{}, lane{}, err
-	}
-	u, err := a(c)
-	if err != nil {
-		return u, lane{}, err
-	}
-	v, err := b(c)
-	return u, v, err
-}
-
 func (cp *compiler) binaryLane(x *clc.BinaryExpr) (staticFn, bool) {
 	op := x.Op
 	if op == clc.LAND || op == clc.LOR {
 		a, b, and := cp.cond(x.X), cp.cond(x.Y), op == clc.LAND
-		return scalarOf(clc.Int, stepped(func(c *wiCtx) (lane, error) {
+		return condOf(stepped(func(c *wiCtx) (bool, error) {
 			if ok, err := a(c); err != nil || ok != and {
-				return lane{i: boolToInt(!and)}, err
+				return !and, err
 			}
-			ok, err := b(c)
-			return lane{i: boolToInt(ok)}, err
+			return b(c)
 		})), true
 	}
 	sa, okA := cp.static(x.X)
@@ -416,24 +416,42 @@ func (cp *compiler) binaryLane(x *clc.BinaryExpr) (staticFn, bool) {
 		return vectorOf(shape{k, w}, lanewise(op, k, w, sa.widened(pk), sb.widened(pk))), true
 	}
 	a, b := sa.widen(pk), sb.widen(pk)
-	cmp := false
-	switch op {
-	case clc.EQ, clc.NEQ, clc.LT, clc.GT, clc.LEQ, clc.GEQ:
-		k, ok, cmp = clc.Int, true, true
+	if rel := relOp(op, pk); rel != nil {
+		return condOf(func(c *wiCtx) (bool, error) {
+			if err := c.step(); err != nil {
+				return false, err
+			}
+			u, err := a(c)
+			if err != nil {
+				return false, err
+			}
+			v, err := b(c)
+			if err != nil {
+				return false, err
+			}
+			c.prof.IntOps++
+			return rel(u, v), nil
+		}), true
 	}
+	if !ok {
+		return staticFn{}, false
+	}
+	apply, float := laneOp(op, k), k.IsFloat()
 	return scalarOf(k, func(c *wiCtx) (lane, error) {
-		u, v, err := c.operands(a, b)
+		if err := c.step(); err != nil {
+			return lane{}, err
+		}
+		u, err := a(c)
 		if err != nil {
 			return lane{}, err
 		}
-		if cmp {
-			c.prof.IntOps++
-			return lane{i: boolToInt(compareLanes(op, pk, u, v))}, nil
+		v, err := b(c)
+		if err != nil {
+			return lane{}, err
 		}
-		r, _ := arith(op, k, u, v) // arithKind admits only operators arith implements
-		c.countArith(k, 1)
-		return r, nil
-	}), ok
+		c.count(float, 1)
+		return apply(u, v), nil
+	}), true
 }
 
 // lanewise compiles a binary arithmetic node of width w whose operands,
@@ -441,7 +459,7 @@ func (cp *compiler) binaryLane(x *clc.BinaryExpr) (staticFn, bool) {
 // it: the left operand evaluates into the result's lanes, a vector right
 // operand into temporaries.
 func lanewise(op clc.TokenKind, k clc.ScalarKind, w int, a, b staticFn) lanesFn {
-	apply := laneOp(op, k)
+	apply, float, lanes := laneOp(op, k), k.IsFloat(), int64(w)
 	switch {
 	case a.width > 1 && b.width > 1:
 		ea, eb := a.lanes, b.lanes
@@ -462,7 +480,7 @@ func lanewise(op clc.TokenKind, k clc.ScalarKind, w int, a, b staticFn) lanesFn 
 			for l, y := range t {
 				dst[l] = apply(dst[l], y)
 			}
-			c.countArith(k, w)
+			c.count(float, lanes)
 			return nil
 		}
 	case a.width > 1:
@@ -481,7 +499,7 @@ func lanewise(op clc.TokenKind, k clc.ScalarKind, w int, a, b staticFn) lanesFn 
 			for l, x := range dst {
 				dst[l] = apply(x, y)
 			}
-			c.countArith(k, w)
+			c.count(float, lanes)
 			return nil
 		}
 	}
@@ -500,31 +518,172 @@ func lanewise(op clc.TokenKind, k clc.ScalarKind, w int, a, b staticFn) lanesFn 
 		for l, y := range dst {
 			dst[l] = apply(x, y)
 		}
-		c.countArith(k, w)
+		c.count(float, lanes)
 		return nil
 	}
 }
 
-// laneOp returns arith for op on operands of kind k, computed as arith
-// computes it: for float the four operators every vector kernel of the
-// campaign uses are written out, anything else calls arith.
+// laneOp returns op on lanes of kind k, as arith computes it. Every
+// operator arithKind admits is written out for every static kind but bool,
+// which calls arith, as does anything else. The result is a lane of kind k:
+// truncated or rounded to it by the conversion to its Go type.
+// TestLaneOpsMatchArith is its oracle.
 func laneOp(op clc.TokenKind, k clc.ScalarKind) func(x, y lane) lane {
-	if k == clc.Float {
-		switch op {
-		case clc.ADD:
-			return func(x, y lane) lane { return lane{f: float64(float32(x.f + y.f))} }
-		case clc.SUB:
-			return func(x, y lane) lane { return lane{f: float64(float32(x.f - y.f))} }
-		case clc.MUL:
-			return func(x, y lane) lane { return lane{f: float64(float32(x.f * y.f))} }
-		case clc.DIV:
-			return func(x, y lane) lane { return lane{f: float64(float32(x.f / y.f))} }
-		}
+	var f func(x, y lane) lane
+	switch k {
+	case clc.Char:
+		f = intOp[int8](op)
+	case clc.UChar:
+		f = intOp[uint8](op)
+	case clc.Short:
+		f = intOp[int16](op)
+	case clc.UShort:
+		f = intOp[uint16](op)
+	case clc.Int:
+		f = intOp[int32](op)
+	case clc.UInt:
+		f = intOp[uint32](op)
+	case clc.Long:
+		f = intOp[int64](op)
+	case clc.ULong:
+		f = intOp[uint64](op)
+	case clc.Half, clc.Float:
+		f = floatOp[float32](op)
+	case clc.Double:
+		f = floatOp[float64](op)
+	}
+	if f != nil {
+		return f
 	}
 	return func(x, y lane) lane {
 		r, _ := arith(op, k, x, y) // arithKind admits only operators arith implements
 		return r
 	}
+}
+
+// intOp is laneOp for the integer kind whose Go type is T: intBinary on the
+// 64-bit view, then truncation to the kind by the conversion to T. As in
+// intBinary, / and % by zero yield 0, Go's MinInt64 / -1 is MinInt64 and
+// its remainder 0, and a shift count is masked with 63.
+func intOp[T int8 | uint8 | int16 | uint16 | int32 | uint32 | int64 | uint64](op clc.TokenKind) func(x, y lane) lane {
+	var zero T
+	unsigned := ^zero > 0
+	switch op {
+	case clc.ADD:
+		return func(x, y lane) lane { return lane{i: int64(T(x.i + y.i))} }
+	case clc.SUB:
+		return func(x, y lane) lane { return lane{i: int64(T(x.i - y.i))} }
+	case clc.MUL:
+		return func(x, y lane) lane { return lane{i: int64(T(x.i * y.i))} }
+	case clc.AND:
+		return func(x, y lane) lane { return lane{i: int64(T(x.i & y.i))} }
+	case clc.OR:
+		return func(x, y lane) lane { return lane{i: int64(T(x.i | y.i))} }
+	case clc.XOR:
+		return func(x, y lane) lane { return lane{i: int64(T(x.i ^ y.i))} }
+	case clc.SHL:
+		return func(x, y lane) lane { return lane{i: int64(T(x.i << (uint64(y.i) & 63)))} }
+	case clc.SHR:
+		if unsigned {
+			return func(x, y lane) lane { return lane{i: int64(T(uint64(x.i) >> (uint64(y.i) & 63)))} }
+		}
+		return func(x, y lane) lane { return lane{i: int64(T(x.i >> (uint64(y.i) & 63)))} }
+	case clc.DIV:
+		if unsigned {
+			return func(x, y lane) lane {
+				if y.i == 0 {
+					return lane{}
+				}
+				return lane{i: int64(T(uint64(x.i) / uint64(y.i)))}
+			}
+		}
+		return func(x, y lane) lane {
+			if y.i == 0 {
+				return lane{}
+			}
+			return lane{i: int64(T(x.i / y.i))}
+		}
+	case clc.REM:
+		if unsigned {
+			return func(x, y lane) lane {
+				if y.i == 0 {
+					return lane{}
+				}
+				return lane{i: int64(T(uint64(x.i) % uint64(y.i)))}
+			}
+		}
+		return func(x, y lane) lane {
+			if y.i == 0 {
+				return lane{}
+			}
+			return lane{i: int64(T(x.i % y.i))}
+		}
+	}
+	return nil
+}
+
+// floatOp is laneOp for a float kind computed in float64 and rounded once
+// to T: float32 for float and half, as arith rounds them.
+func floatOp[T float32 | float64](op clc.TokenKind) func(x, y lane) lane {
+	switch op {
+	case clc.ADD:
+		return func(x, y lane) lane { return lane{f: float64(T(x.f + y.f))} }
+	case clc.SUB:
+		return func(x, y lane) lane { return lane{f: float64(T(x.f - y.f))} }
+	case clc.MUL:
+		return func(x, y lane) lane { return lane{f: float64(T(x.f * y.f))} }
+	case clc.DIV:
+		return func(x, y lane) lane { return lane{f: float64(T(x.f / y.f))} }
+	case clc.REM:
+		return func(x, y lane) lane { return lane{f: float64(T(math.Mod(x.f, y.f)))} }
+	}
+	return nil
+}
+
+// relOp returns a relational operator on lanes of kind k, as compareLanes
+// applies it, or nil for any other operator.
+func relOp(op clc.TokenKind, k clc.ScalarKind) func(x, y lane) bool {
+	switch {
+	case k.IsUnsigned():
+		return intRel[uint64](op)
+	case !k.IsFloat():
+		return intRel[int64](op)
+	}
+	switch op {
+	case clc.EQ:
+		return func(x, y lane) bool { return x.f == y.f }
+	case clc.NEQ:
+		return func(x, y lane) bool { return x.f != y.f }
+	case clc.LT:
+		return func(x, y lane) bool { return x.f < y.f }
+	case clc.GT:
+		return func(x, y lane) bool { return x.f > y.f }
+	case clc.LEQ:
+		return func(x, y lane) bool { return x.f <= y.f }
+	case clc.GEQ:
+		return func(x, y lane) bool { return x.f >= y.f }
+	}
+	return nil
+}
+
+// intRel is relOp for an integer kind, compared as T: uint64 for an
+// unsigned kind, int64 for a signed one.
+func intRel[T int64 | uint64](op clc.TokenKind) func(x, y lane) bool {
+	switch op {
+	case clc.EQ:
+		return func(x, y lane) bool { return x.i == y.i }
+	case clc.NEQ:
+		return func(x, y lane) bool { return x.i != y.i }
+	case clc.LT:
+		return func(x, y lane) bool { return T(x.i) < T(y.i) }
+	case clc.GT:
+		return func(x, y lane) bool { return T(x.i) > T(y.i) }
+	case clc.LEQ:
+		return func(x, y lane) bool { return T(x.i) <= T(y.i) }
+	case clc.GEQ:
+		return func(x, y lane) bool { return T(x.i) >= T(y.i) }
+	}
+	return nil
 }
 
 func (cp *compiler) unaryLane(x *clc.UnaryExpr) (staticFn, bool) {
@@ -533,13 +692,13 @@ func (cp *compiler) unaryLane(x *clc.UnaryExpr) (staticFn, bool) {
 		return cp.incDecLane(x.X, x.Op, false)
 	case clc.NOT:
 		operand := cp.cond(x.X)
-		return scalarOf(clc.Int, stepped(func(c *wiCtx) (lane, error) {
+		return condOf(stepped(func(c *wiCtx) (bool, error) {
 			ok, err := operand(c)
 			if err != nil {
-				return lane{}, err
+				return false, err
 			}
 			c.prof.IntOps++
-			return lane{i: boolToInt(!ok)}, nil
+			return !ok, nil
 		})), true
 	case clc.ADD, clc.SUB, clc.BNOT:
 		s, ok := cp.static(x.X)
@@ -547,8 +706,9 @@ func (cp *compiler) unaryLane(x *clc.UnaryExpr) (staticFn, bool) {
 		if !ok || op == clc.BNOT && k.IsFloat() {
 			return staticFn{}, false
 		}
+		apply, float := unaryLaneOp(op, k), k.IsFloat()
 		if s.width > 1 {
-			operand, w := s.lanes, s.width
+			operand, n := s.lanes, int64(s.width)
 			return vectorOf(s.shape, func(c *wiCtx, dst []lane) error {
 				if err := c.step(); err != nil {
 					return err
@@ -557,37 +717,42 @@ func (cp *compiler) unaryLane(x *clc.UnaryExpr) (staticFn, bool) {
 					return err
 				}
 				for l, x := range dst {
-					dst[l] = unaryLaneOp(op, k, x)
+					dst[l] = apply(x)
 				}
-				c.countArith(k, w)
+				c.count(float, n)
 				return nil
 			}), true
 		}
 		operand := s.eval
-		return scalarOf(k, stepped(func(c *wiCtx) (lane, error) {
+		return scalarOf(k, func(c *wiCtx) (lane, error) {
+			if err := c.step(); err != nil {
+				return lane{}, err
+			}
 			l, err := operand(c)
 			if err != nil {
 				return lane{}, err
 			}
-			c.countArith(k, 1)
-			return unaryLaneOp(op, k, l), nil
-		})), true
+			c.count(float, 1)
+			return apply(l), nil
+		}), true
 	}
 	return staticFn{}, false
 }
 
-// unaryLaneOp applies a prefix +, - or ~ to a lane of kind k, as unaryOp
-// does.
-func unaryLaneOp(op clc.TokenKind, k clc.ScalarKind, l lane) lane {
+// unaryLaneOp returns a prefix +, - or ~ on lanes of kind k, as unaryOp
+// applies it: an integer's -x and ~x are the table's 0 - x and x ^ -1.
+func unaryLaneOp(op clc.TokenKind, k clc.ScalarKind) func(x lane) lane {
 	switch {
+	case op == clc.ADD:
+		return func(x lane) lane { return x }
 	case op == clc.SUB && k.IsFloat():
-		l.f = -l.f
+		return func(x lane) lane { return lane{f: -x.f} }
 	case op == clc.SUB:
-		l.i = truncInt(k, -l.i)
-	case op == clc.BNOT:
-		l.i = truncInt(k, ^l.i)
+		sub := laneOp(clc.SUB, k)
+		return func(x lane) lane { return sub(lane{}, x) }
 	}
-	return l
+	xor := laneOp(clc.XOR, k)
+	return func(x lane) lane { return xor(x, lane{i: -1}) }
 }
 
 // varTarget is a statically kinded variable as an assignment target.
@@ -631,24 +796,32 @@ func (cp *compiler) incDecLane(target clc.Expr, tok clc.TokenKind, postfix bool)
 	if tok == clc.DEC {
 		op = clc.SUB
 	}
-	one, k := convertTo(lane{i: 1}, clc.Int, pk), pk
+	one, k, idx := convertTo(lane{i: 1}, clc.Int, pk), pk, t.idx
 	if postfix {
 		k = kv
 	}
-	return scalarOf(k, stepped(func(c *wiCtx) (lane, error) {
-		if t.unbound != "" {
-			return lane{}, t.unknown()
+	switch {
+	case !ok || t.width != 1:
+		return staticFn{}, false
+	case t.unbound != "":
+		return scalarOf(k, stepped(func(*wiCtx) (lane, error) { return lane{}, t.unknown() })), true
+	}
+	apply, float := laneOp(op, pk), kv.IsFloat()
+	return scalarOf(k, func(c *wiCtx) (lane, error) {
+		if err := c.step(); err != nil {
+			return lane{}, err
 		}
-		s := &c.frame[t.idx].val
+		s := &c.frame[idx].val
 		old := lane{s.i, s.f}
-		nv, _ := arith(op, pk, widenTo(old, kv, pk), one)
-		c.countArith(kv, 1)
-		*s = box(kv, convertTo(nv, pk, kv))
+		nv := apply(widenTo(old, kv, pk), one)
+		c.count(float, 1)
+		r := convertTo(nv, pk, kv)
+		s.i, s.f = r.i, r.f
 		if postfix {
 			return old, nil
 		}
 		return nv, nil
-	})), ok && t.width == 1
+	}), true
 }
 
 // assignLane compiles = and op= to a statically kinded variable, or through
@@ -687,41 +860,86 @@ func (cp *compiler) assignLane(x *clc.AssignExpr) (staticFn, bool) {
 		}
 		return shaped(s.shape, cp.storeLanes(x, s, t)), true
 	}
-	if !isElem {
+	switch {
+	case isElem:
+		return scalarOf(k, cp.elemStore(x, ix, s, kt)), true
+	case t.unbound != "":
 		return scalarOf(k, stepped(func(c *wiCtx) (lane, error) {
-			v, err := rhs(c)
-			if err == nil && t.unbound != "" {
-				err = t.unknown()
-			}
-			if err != nil {
+			if _, err := rhs(c); err != nil {
 				return lane{}, err
 			}
-			s, from := &c.frame[t.idx].val, kr
-			if compound {
-				v, _ = arith(op, k, widenTo(lane{s.i, s.f}, kt, k), widenTo(v, kr, k))
-				from = k
-				c.countArith(kt, 1)
-			}
-			*s = box(kt, convertTo(v, from, kt))
-			return v, nil
+			return lane{}, t.unknown()
 		})), true
+	case compound:
+		return scalarOf(k, compoundLane(op, k, s, t)), true
 	}
-	elem := cp.elemRef(ix, 1)
-	return scalarOf(k, stepped(func(c *wiCtx) (lane, error) {
+	idx := t.idx
+	return scalarOf(k, func(c *wiCtx) (lane, error) {
+		if err := c.step(); err != nil {
+			return lane{}, err
+		}
 		v, err := rhs(c)
 		if err != nil {
 			return lane{}, err
 		}
-		b, off, err := elem(c)
+		r := convertTo(v, kr, kt)
+		s := &c.frame[idx].val
+		s.i, s.f = r.i, r.f
+		return v, nil
+	}), true
+}
+
+// compoundLane compiles op= of s, at the promoted kind k, to t, a bound
+// scalar variable: it counts under the variable's kind and yields the
+// promoted result.
+func compoundLane(op clc.TokenKind, k clc.ScalarKind, s staticFn, t varTarget) laneFn {
+	rhs, kr, kt, idx := s.eval, s.kind, t.kind, t.idx
+	apply, float := laneOp(op, k), kt.IsFloat()
+	return func(c *wiCtx) (lane, error) {
+		if err := c.step(); err != nil {
+			return lane{}, err
+		}
+		v, err := rhs(c)
 		if err != nil {
 			return lane{}, err
 		}
-		c.countMem(b.Space, 1, true)
-		if err := storeLane(b, off, convertTo(v, kr, kt), kt); err != nil {
+		d := &c.frame[idx].val
+		r := apply(widenTo(lane{d.i, d.f}, kt, k), widenTo(v, kr, k))
+		c.count(float, 1)
+		w := convertTo(r, k, kt)
+		d.i, d.f = w.i, w.f
+		return r, nil
+	}
+}
+
+// elemStore compiles = of scalar s to ix, an element of a guarded pointer
+// parameter to kind kt: the right-hand side, the base identifier's unit of
+// budget and the index, then a store that counts before it faults.
+func (cp *compiler) elemStore(x *clc.AssignExpr, ix *clc.IndexExpr, s staticFn, kt clc.ScalarKind) laneFn {
+	rhs, kr := s.eval, s.kind
+	base, index := cp.lookup(ix.X.(*clc.Ident).Name).idx, cp.intOf(ix.Index)
+	return func(c *wiCtx) (lane, error) {
+		if err := c.step(); err != nil {
+			return lane{}, err
+		}
+		v, err := rhs(c)
+		if err != nil {
+			return lane{}, err
+		}
+		if err := c.step(); err != nil {
+			return lane{}, err
+		}
+		i, err := index(c)
+		if err != nil {
+			return lane{}, err
+		}
+		p := c.frame[base].val.Ptr
+		c.countMem(p.Buf.Space, 1, true)
+		if err := storeLane(p.Buf, p.Off+i.i, convertTo(v, kr, kt), kt); err != nil {
 			return lane{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 		}
 		return v, nil
-	})), true
+	}
 }
 
 // storeLanes compiles = of s to t where either is a vector: it evaluates
@@ -791,7 +1009,7 @@ func (cp *compiler) storeLanes(x *clc.AssignExpr, s staticFn, t varTarget) lanes
 // a store's wrapped with the node's position.
 func (cp *compiler) compoundLanes(x *clc.AssignExpr, s staticFn, t varTarget, k clc.ScalarKind) lanesFn {
 	rhs, kr, kt, tw, sw := s.into(), s.kind, t.kind, t.width, s.width
-	op, stride := compoundOps[x.Op], min(sw-1, 1)
+	apply, float, stride := laneOp(compoundOps[x.Op], k), kt.IsFloat(), min(sw-1, 1)
 	operand := widenTo
 	if sw < tw {
 		operand = convertTo // a scalar splat to the target's width
@@ -832,9 +1050,9 @@ func (cp *compiler) compoundLanes(x *clc.AssignExpr, s staticFn, t varTarget, k 
 			c.countMem(b.Space, tw, false)
 		}
 		for l := range dst {
-			dst[l], _ = arith(op, k, widenTo(dst[l], kt, k), operand(v[l*stride], kr, k))
+			dst[l] = apply(widenTo(dst[l], kt, k), operand(v[l*stride], kr, k))
 		}
-		c.countArith(kt, tw)
+		c.count(float, int64(tw))
 		if b == nil {
 			fr := c.frame[t.idx : t.idx+tw]
 			for l := range fr {
@@ -883,21 +1101,32 @@ func (cp *compiler) elemLoad(x *clc.IndexExpr) (staticFn, bool) {
 	if !ok {
 		return staticFn{}, false
 	}
-	elem, k, w := cp.elemRef(x, sh.width), sh.kind, sh.width
+	k, w := sh.kind, sh.width
 	if w == 1 {
-		return scalarOf(k, stepped(func(c *wiCtx) (lane, error) {
-			b, off, err := elem(c)
+		// The node's unit of budget, then the base identifier's, then the
+		// index, as elemRef spends them.
+		base, index := cp.lookup(x.X.(*clc.Ident).Name).idx, cp.intOf(x.Index)
+		return scalarOf(k, func(c *wiCtx) (lane, error) {
+			if err := c.step(); err != nil {
+				return lane{}, err
+			}
+			if err := c.step(); err != nil {
+				return lane{}, err
+			}
+			i, err := index(c)
 			if err != nil {
 				return lane{}, err
 			}
-			l, err := loadLane(b, off, k)
+			p := c.frame[base].val.Ptr
+			l, err := loadLane(p.Buf, p.Off+i.i, k)
 			if err != nil {
 				return lane{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 			}
-			c.countMem(b.Space, 1, false)
+			c.countMem(p.Buf.Space, 1, false)
 			return l, nil
-		})), true
+		}), true
 	}
+	elem := cp.elemRef(x, w)
 	return vectorOf(sh, func(c *wiCtx, dst []lane) error {
 		if err := c.step(); err != nil {
 			return err
@@ -1110,9 +1339,15 @@ func mathLane(k clc.ScalarKind, w int, args []staticFn, f mathFns) staticFn {
 		ev := make([]laneFn, len(args))
 		for i, a := range args {
 			ev[i] = a.widen(to)
+			if to == clc.Double && a.kind.IsFloat() {
+				ev[i] = a.eval // widening keeps a float's f view
+			}
 		}
 		f1, f2, f3 := f.f1, f.f2, f.f3
-		return scalarOf(k, stepped(func(c *wiCtx) (lane, error) {
+		return scalarOf(k, func(c *wiCtx) (lane, error) {
+			if err := c.step(); err != nil {
+				return lane{}, err
+			}
 			var in [3]float64
 			for i, e := range ev {
 				l, err := e(c)
@@ -1132,7 +1367,7 @@ func mathLane(k clc.ScalarKind, w int, args []staticFn, f mathFns) staticFn {
 			}
 			c.prof.FloatOps++
 			return floatLane(k, r), nil
-		}))
+		})
 	}
 	ev, strides := make([]lanesFn, len(args)), make([]int, len(args))
 	for i, a := range args {
@@ -1217,7 +1452,7 @@ func laneFloat(l lane, float bool) float64 {
 // absLane compiles abs of an integer vector as the Value path computes it:
 // negative lanes negated without wrapping to the kind.
 func absLane(a staticFn) staticFn {
-	k, w, ev := a.kind, a.width, a.lanes
+	ev, n := a.lanes, int64(a.width)
 	return vectorOf(a.shape, func(c *wiCtx, dst []lane) error {
 		if err := c.step(); err != nil {
 			return err
@@ -1230,7 +1465,7 @@ func absLane(a staticFn) staticFn {
 				dst[l].i = -x.i
 			}
 		}
-		c.countArith(k, w)
+		c.prof.IntOps += n
 		return nil
 	})
 }
@@ -1311,7 +1546,9 @@ func (s staticFn) value() evalFn {
 
 // cond compiles e for a consumer that tests it as Value.Bool does.
 func (cp *compiler) cond(e clc.Expr) condFn {
-	if s, ok := cp.scalar(e); ok {
+	if s, ok := cp.scalar(e); ok && s.test != nil {
+		return s.test
+	} else if ok {
 		ev, float := s.eval, s.kind.IsFloat()
 		return func(c *wiCtx) (bool, error) {
 			l, err := ev(c)
